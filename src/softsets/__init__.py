@@ -8,126 +8,15 @@ prober are built on.  Similarity is exact rational arithmetic
 throughout; nothing here rounds.
 """
 
-from .algebra import complement, intersection, pair_name, product, union
-from .analysis import (
-    MAX_PERMUTED_ATTRIBUTES,
-    AntichainProfile,
-    ConjectureProbe,
-    EmptyDenominator,
-    TooManyAttributes,
-    antichain_profile,
-    fraction_str,
-    gravity,
-    gravity_domination,
-    is_permutation_basis,
-    max_similarity_over_orderings,
-    probe_conjecture,
-    similarity,
-)
-from .core import (
-    BitMatrix,
-    DimensionMismatch,
-    DuplicateAttribute,
-    DuplicateElement,
-    MissingValue,
-    SoftSet,
-    SoftSetError,
-    TauFamily,
-    UniverseMismatch,
-    UnknownAttribute,
-    UnknownElement,
-    require_same_universe,
-    soft_set_from_document,
-    soft_set_to_document,
-)
-from .oracle import (
-    MAX_ENUM_ATTRIBUTES,
-    MAX_ENUM_UNIVERSE,
-    BoundExceeded,
-    enumerate_soft_sets,
-    oracle_complement,
-    oracle_intersection,
-    oracle_product,
-    oracle_similarity,
-    oracle_union,
-)
-from .relations import (
-    ApproxKind,
-    CorrectnessReport,
-    RelationViolation,
-    check_relation_correctness,
-    drop_attribute,
-    duplicate_attribute,
-    equal,
-    equivalent,
-    externally_approximates,
-    internally_approximates,
-    max_family,
-    min_family,
-    random_equivalent_variant,
-    relate,
-    rename_attributes,
-    reorder_attributes,
-)
+from . import algebra, analysis, core, oracle, relations
+from .core import *  # noqa: F403
+from .algebra import *  # noqa: F403
+from .relations import *  # noqa: F403
+from .analysis import *  # noqa: F403
+from .oracle import *  # noqa: F403
 
-__all__ = [
-    "ApproxKind",
-    "AntichainProfile",
-    "BitMatrix",
-    "BoundExceeded",
-    "ConjectureProbe",
-    "CorrectnessReport",
-    "DimensionMismatch",
-    "DuplicateAttribute",
-    "DuplicateElement",
-    "EmptyDenominator",
-    "MAX_ENUM_ATTRIBUTES",
-    "MAX_ENUM_UNIVERSE",
-    "MAX_PERMUTED_ATTRIBUTES",
-    "MissingValue",
-    "RelationViolation",
-    "SoftSet",
-    "SoftSetError",
-    "TauFamily",
-    "TooManyAttributes",
-    "UniverseMismatch",
-    "UnknownAttribute",
-    "UnknownElement",
-    "antichain_profile",
-    "check_relation_correctness",
-    "complement",
-    "drop_attribute",
-    "duplicate_attribute",
-    "enumerate_soft_sets",
-    "equal",
-    "equivalent",
-    "externally_approximates",
-    "fraction_str",
-    "gravity",
-    "gravity_domination",
-    "internally_approximates",
-    "intersection",
-    "is_permutation_basis",
-    "max_family",
-    "max_similarity_over_orderings",
-    "min_family",
-    "oracle_complement",
-    "oracle_intersection",
-    "oracle_product",
-    "oracle_similarity",
-    "oracle_union",
-    "pair_name",
-    "probe_conjecture",
-    "product",
-    "random_equivalent_variant",
-    "relate",
-    "rename_attributes",
-    "reorder_attributes",
-    "require_same_universe",
-    "similarity",
-    "soft_set_from_document",
-    "soft_set_to_document",
-    "union",
-]
+__all__ = (
+    core.__all__ + algebra.__all__ + relations.__all__ + analysis.__all__ + oracle.__all__
+)
 
 __version__ = "0.1.0"

@@ -10,6 +10,8 @@ set-level counterparts live in the oracle module for cross-checking.
 
 from __future__ import annotations
 
+from operator import and_, or_
+
 from .core import BitMatrix, SoftSet, require_same_universe
 
 __all__ = ["complement", "intersection", "pair_name", "product", "union"]
@@ -20,8 +22,17 @@ def pair_name(left: str, right: str) -> str:
     return f"({left},{right})"
 
 
-def _pair_names(lefts: tuple[str, ...], rights: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(pair_name(a, b) for a in lefts for b in rights)
+def _pairwise(s: SoftSet, f: SoftSet, universe, row_pairs, op) -> SoftSet:
+    """Result row r holds op(x, y) for x in left row r, y in right row r.
+
+    row_pairs yields the (left row, right row) pair behind each result
+    row; columns come out row-major in the left attribute.
+    """
+    attributes = tuple(pair_name(a, b) for a in s.attributes for b in f.attributes)
+    bits = tuple(tuple(op(x, y) for x in krow for y in lrow) for krow, lrow in row_pairs)
+    return SoftSet.from_matrix(
+        universe, attributes, BitMatrix(bits, cols=len(attributes))
+    )
 
 
 def complement(s: SoftSet) -> SoftSet:
@@ -36,37 +47,15 @@ def complement(s: SoftSet) -> SoftSet:
 def union(s: SoftSet, f: SoftSet) -> SoftSet:
     """Elementwise max over all left-column/right-column pairs."""
     require_same_universe(s, f)
-    k = s.to_matrix().bits
-    l = f.to_matrix().bits
-    n = len(s.attributes)
-    p = len(f.attributes)
-    bits = tuple(
-        tuple(max(krow[i], lrow[j]) for i in range(n) for j in range(p))
-        for krow, lrow in zip(k, l)
-    )
-    return SoftSet.from_matrix(
-        s.universe,
-        _pair_names(s.attributes, f.attributes),
-        BitMatrix(bits, cols=n * p),
-    )
+    rows = zip(s.to_matrix().bits, f.to_matrix().bits)
+    return _pairwise(s, f, s.universe, rows, or_)
 
 
 def intersection(s: SoftSet, f: SoftSet) -> SoftSet:
     """Elementwise min over all left-column/right-column pairs."""
     require_same_universe(s, f)
-    k = s.to_matrix().bits
-    l = f.to_matrix().bits
-    n = len(s.attributes)
-    p = len(f.attributes)
-    bits = tuple(
-        tuple(min(krow[i], lrow[j]) for i in range(n) for j in range(p))
-        for krow, lrow in zip(k, l)
-    )
-    return SoftSet.from_matrix(
-        s.universe,
-        _pair_names(s.attributes, f.attributes),
-        BitMatrix(bits, cols=n * p),
-    )
+    rows = zip(s.to_matrix().bits, f.to_matrix().bits)
+    return _pairwise(s, f, s.universe, rows, and_)
 
 
 def product(s: SoftSet, f: SoftSet) -> SoftSet:
@@ -78,18 +67,7 @@ def product(s: SoftSet, f: SoftSet) -> SoftSet:
     """
     require_same_universe(s, f)
     x = s.universe
+    universe = tuple(pair_name(u, v) for u in x for v in x)
     k = s.to_matrix().bits
     l = f.to_matrix().bits
-    n = len(s.attributes)
-    p = len(f.attributes)
-    universe = tuple(pair_name(u, v) for u in x for v in x)
-    bits = tuple(
-        tuple(k[a][i] * l[b][j] for i in range(n) for j in range(p))
-        for a in range(len(x))
-        for b in range(len(x))
-    )
-    return SoftSet.from_matrix(
-        universe,
-        _pair_names(s.attributes, f.attributes),
-        BitMatrix(bits, cols=n * p),
-    )
+    return _pairwise(s, f, universe, ((krow, lrow) for krow in k for lrow in l), and_)

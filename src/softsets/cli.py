@@ -13,15 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from collections import namedtuple
 
 from . import algebra, analysis, relations
 from .core import (
-    BitMatrix,
-    SoftSet,
-    SoftSetError,
-    soft_set_from_document,
-    soft_set_to_document,
+    BitMatrix, SoftSet, SoftSetError, soft_set_from_document, soft_set_to_document,
 )
 
 __all__ = ["main", "run"]
@@ -30,16 +26,7 @@ __all__ = ["main", "run"]
 # ---------------------------------------------------------------------------
 # input
 
-def _load_soft_set(args: argparse.Namespace, path: str) -> SoftSet:
-    return soft_set_from_document(_read_json(args, path))
-
-
-def _read_json(args: argparse.Namespace, path: str):
-    if path == "-":
-        # cache stdin so two `-` operands see the same document
-        if args._stdin_doc is _UNSET:
-            args._stdin_doc = json.loads(sys.stdin.read())
-        return args._stdin_doc
+def _read_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
@@ -47,9 +34,6 @@ def _read_json(args: argparse.Namespace, path: str):
         raise SoftSetError(f"cannot read {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise SoftSetError(f"{path} is not valid JSON: {exc}") from None
-
-
-_UNSET = object()
 
 
 def _parse_name_array(text: str, flag: str) -> list[str]:
@@ -63,366 +47,210 @@ def _parse_name_array(text: str, flag: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# output
+# calls that need more than a library function
+
+def _from_matrix(rows, universe: str, attributes: str) -> SoftSet:
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise SoftSetError("matrix input must be a JSON array of row arrays")
+    universe = _parse_name_array(universe, "--universe")
+    attributes = _parse_name_array(attributes, "--attributes")
+    # BitMatrix takes anything equal to a bit; a document carries integers only
+    for entry in (e for row in rows for e in row):
+        if type(entry) is not int or entry not in (0, 1):
+            raise SoftSetError(f"matrix entries must be 0 or 1, got {entry!r}")
+    return SoftSet.from_matrix(universe, attributes, BitMatrix(rows, cols=len(attributes)))
+
+
+def _relate(s: SoftSet, f: SoftSet, kind: str) -> tuple[str, bool]:
+    return kind, relations.relate(s, f, relations.ApproxKind(kind))
+
+
+def _check(s: SoftSet, f: SoftSet, kind: str, trials: int, seed: int):
+    if kind in ("equal", "equivalent"):
+        relation = getattr(relations, kind)
+    else:
+        approx = relations.ApproxKind(kind)
+        relation = lambda s, f: relations.relate(s, f, approx)
+    return relations.check_relation_correctness(
+        relation, s, f, rewrite_count=trials, seed=seed, name=kind
+    )
+
+
+# ---------------------------------------------------------------------------
+# emitters: each returns (text lines, JSON value); soft sets inside the
+# JSON value become documents only when it is dumped
+
+_dumps = json.JSONEncoder(default=soft_set_to_document).encode
+
 
 def _subset_str(subset: frozenset[str]) -> str:
     return "{" + ", ".join(sorted(subset)) + "}"
 
 
-def _family_sorted(family) -> list[frozenset[str]]:
-    return sorted(family, key=lambda b: (len(b), tuple(sorted(b))))
+def _soft_set(s: SoftSet):
+    lines = ["universe:   " + ", ".join(s.universe), "attributes: " + ", ".join(s.attributes)]
+    lines += [f"{a} -> {_subset_str(s.value(a))}" for a in s.attributes]
+    return lines, s
 
 
-def _emit_soft_set(args: argparse.Namespace, s: SoftSet) -> None:
-    if args.json:
-        print(json.dumps(soft_set_to_document(s)))
-        return
-    print("universe:   " + ", ".join(s.universe))
-    print("attributes: " + ", ".join(s.attributes))
-    for a in s.attributes:
-        print(f"{a} -> {_subset_str(s.value(a))}")
+def _family(family):
+    ordered = sorted(family, key=lambda b: (len(b), tuple(sorted(b))))
+    return ["{" + ", ".join(map(_subset_str, ordered)) + "}"], [sorted(b) for b in ordered]
 
 
-def _emit_family(args: argparse.Namespace, family) -> None:
-    ordered = _family_sorted(family)
-    if args.json:
-        print(json.dumps([sorted(b) for b in ordered]))
-    else:
-        print("{" + ", ".join(_subset_str(b) for b in ordered) + "}")
-
-
-def _emit_fraction(args: argparse.Namespace, q: Fraction) -> None:
+def _fraction(q):
     text = analysis.fraction_str(q)
-    if args.json:
-        print(json.dumps({"similarity": text}))
-    else:
-        print(f"{text} ({float(q):.6g})")
+    return [f"{text} ({float(q):.6g})"], {"similarity": text}
+
+
+def _matrix(m: BitMatrix):
+    return [" ".join(map(str, row)) for row in m.bits], m.bits
+
+
+def _gravity(counts: dict[str, int]):
+    return [f"{name}: {count}" for name, count in counts.items()], counts
+
+
+def _verdict(kind_result: tuple[str, bool]):
+    kind, result = kind_result
+    return ["true" if result else "false"], {"kind": kind, "result": result}
+
+
+def _report(r: relations.CorrectnessReport):
+    violations = [
+        {"rewritten": v.rewritten, "original_result": v.original_result,
+         "rewritten_result": v.rewritten_result}
+        for v in r.violations
+    ]
+    lines = [f"{r.relation_name}: {r.verdict} "
+             f"(trials={r.trials}, violations={len(violations)})"]
+    lines += [
+        f"  {v.original_result} -> {v.rewritten_result} on "
+        + " | ".join(_dumps(x) for x in v.rewritten)
+        for v in r.violations[:3]
+    ]
+    return lines, {"relation": r.relation_name, "trials": r.trials, "verdict": r.verdict,
+                   "violations": violations}
+
+
+def _probes(probes: list[analysis.ConjectureProbe]):
+    base = analysis.fraction_str(probes[0].original_similarity)
+    rows = [
+        {"rewritten": p.rewritten,
+         "rewritten_similarity": analysis.fraction_str(p.rewritten_similarity),
+         "differs": p.differs}
+        for p in probes
+    ]
+    differing = [r for r in rows if r["differs"]]
+    lines = [f"trials: {len(rows)}", f"original similarity: {base}",
+             f"differing: {len(differing)}"]
+    lines += [f"  {base} -> {r['rewritten_similarity']}" for r in differing[:5]]
+    return lines, {"trials": len(rows), "differing": len(differing),
+                   "original_similarity": base, "probes": rows}
 
 
 # ---------------------------------------------------------------------------
-# commands
+# the command table
+#
+# One row per subcommand.  operands holds one loader per FILE argument,
+# applied to its parsed JSON (from-matrix keeps the raw rows); call gets
+# the loaded operands plus each option as a keyword argument; emit turns
+# the result into (text lines, JSON value).
 
-def _cmd_show(args: argparse.Namespace) -> int:
-    _emit_soft_set(args, _load_soft_set(args, args.file))
-    return 0
+Command = namedtuple("Command", "operands call emit help options", defaults=({},))
 
-
-def _cmd_tau(args: argparse.Namespace) -> int:
-    _emit_family(args, _load_soft_set(args, args.file).tau())
-    return 0
-
-
-def _cmd_matrix(args: argparse.Namespace) -> int:
-    m = _load_soft_set(args, args.file).to_matrix()
-    if args.json:
-        print(json.dumps([list(row) for row in m.bits]))
-    else:
-        for row in m.bits:
-            print(" ".join(str(e) for e in row))
-    return 0
-
-
-def _cmd_from_matrix(args: argparse.Namespace) -> int:
-    doc = _read_json(args, args.file)
-    if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):
-        raise SoftSetError("matrix input must be a JSON array of row arrays")
-    universe = _parse_name_array(args.universe, "--universe")
-    attributes = _parse_name_array(args.attributes, "--attributes")
-    matrix = BitMatrix(doc, cols=len(attributes))
-    _emit_soft_set(args, SoftSet.from_matrix(universe, attributes, matrix))
-    return 0
-
-
-def _cmd_canonicalize(args: argparse.Namespace) -> int:
-    _emit_soft_set(args, _load_soft_set(args, args.file).canonicalize())
-    return 0
-
-
-def _cmd_complement(args: argparse.Namespace) -> int:
-    _emit_soft_set(args, algebra.complement(_load_soft_set(args, args.file)))
-    return 0
-
-
-def _cmd_union(args: argparse.Namespace) -> int:
-    s = _load_soft_set(args, args.left)
-    f = _load_soft_set(args, args.right)
-    _emit_soft_set(args, algebra.union(s, f))
-    return 0
-
-
-def _cmd_intersect(args: argparse.Namespace) -> int:
-    s = _load_soft_set(args, args.left)
-    f = _load_soft_set(args, args.right)
-    _emit_soft_set(args, algebra.intersection(s, f))
-    return 0
-
-
-def _cmd_product(args: argparse.Namespace) -> int:
-    s = _load_soft_set(args, args.left)
-    f = _load_soft_set(args, args.right)
-    _emit_soft_set(args, algebra.product(s, f))
-    return 0
-
-
-def _cmd_relate(args: argparse.Namespace) -> int:
-    s = _load_soft_set(args, args.left)
-    f = _load_soft_set(args, args.right)
-    result = relations.relate(s, f, relations.ApproxKind(args.kind))
-    if args.json:
-        print(json.dumps({"kind": args.kind, "result": result}))
-    else:
-        print("true" if result else "false")
-    return 0
-
-
-def _cmd_sim(args: argparse.Namespace) -> int:
-    s = _load_soft_set(args, args.left)
-    f = _load_soft_set(args, args.right)
-    _emit_fraction(args, analysis.similarity(s, f))
-    return 0
-
-
-def _cmd_sim_max(args: argparse.Namespace) -> int:
-    s = _load_soft_set(args, args.left)
-    f = _load_soft_set(args, args.right)
-    _emit_fraction(args, analysis.max_similarity_over_orderings(s, f))
-    return 0
-
-
-def _cmd_gravity(args: argparse.Namespace) -> int:
-    counts = analysis.gravity(_load_soft_set(args, args.file))
-    if args.json:
-        print(json.dumps(counts))
-    else:
-        for name, count in counts.items():
-            print(f"{name}: {count}")
-    return 0
-
-
-def _cmd_min_family(args: argparse.Namespace) -> int:
-    _emit_family(args, relations.min_family(_load_soft_set(args, args.file)))
-    return 0
-
-
-def _cmd_max_family(args: argparse.Namespace) -> int:
-    _emit_family(args, relations.max_family(_load_soft_set(args, args.file)))
-    return 0
-
-
-_RELATIONS = {
-    "equal": relations.equal,
-    "equivalent": relations.equivalent,
-    "internal": relations.internally_approximates,
-    "external": relations.externally_approximates,
+_ONE = (soft_set_from_document,)
+_TWO = _ONE * 2
+_OPERAND_HELP = {1: ["soft set JSON document, or - for stdin"],
+                 2: ["left soft set document", "right soft set document"]}
+_KINDS = [kind.value for kind in relations.ApproxKind]
+_MATRIX_NAMES = {
+    "universe": {"required": True,
+                 "help": 'row names as a JSON array, e.g. \'["a","b","c"]\''},
+    "attributes": {"required": True, "help": "column names as a JSON array"},
 }
+_SEED = {"type": int, "default": 0}
 
-
-def _named_relation(kind: str):
-    if kind in _RELATIONS:
-        return _RELATIONS[kind]
-    approx = relations.ApproxKind(kind)
-
-    def wrapped(s: SoftSet, f: SoftSet) -> bool:
-        return relations.relate(s, f, approx)
-
-    wrapped.__name__ = kind
-    return wrapped
-
-
-def _cmd_check_correctness(args: argparse.Namespace) -> int:
-    s = _load_soft_set(args, args.left)
-    f = _load_soft_set(args, args.right)
-    report = relations.check_relation_correctness(
-        _named_relation(args.kind),
-        s,
-        f,
-        rewrite_count=args.trials,
-        seed=args.seed,
-        name=args.kind,
-    )
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "relation": report.relation_name,
-                    "trials": report.trials,
-                    "verdict": report.verdict,
-                    "violations": [
-                        {
-                            "rewritten": [
-                                soft_set_to_document(v.rewritten[0]),
-                                soft_set_to_document(v.rewritten[1]),
-                            ],
-                            "original_result": v.original_result,
-                            "rewritten_result": v.rewritten_result,
-                        }
-                        for v in report.violations
-                    ],
-                }
-            )
-        )
-    else:
-        print(
-            f"{report.relation_name}: {report.verdict} "
-            f"(trials={report.trials}, violations={len(report.violations)})"
-        )
-        for v in report.violations[:3]:
-            print(
-                f"  {v.original_result} -> {v.rewritten_result} on "
-                f"{json.dumps(soft_set_to_document(v.rewritten[0]))} | "
-                f"{json.dumps(soft_set_to_document(v.rewritten[1]))}"
-            )
-    return 0
-
-
-def _cmd_probe_conjecture(args: argparse.Namespace) -> int:
-    s = _load_soft_set(args, args.left)
-    f = _load_soft_set(args, args.right)
-    probes = analysis.probe_conjecture(s, f, trials=args.trials, seed=args.seed)
-    differing = [p for p in probes if p.differs]
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "trials": len(probes),
-                    "differing": len(differing),
-                    "original_similarity": analysis.fraction_str(
-                        probes[0].original_similarity
-                    ),
-                    "probes": [
-                        {
-                            "rewritten": [
-                                soft_set_to_document(p.rewritten[0]),
-                                soft_set_to_document(p.rewritten[1]),
-                            ],
-                            "rewritten_similarity": analysis.fraction_str(
-                                p.rewritten_similarity
-                            ),
-                            "differs": p.differs,
-                        }
-                        for p in probes
-                    ],
-                }
-            )
-        )
-    else:
-        base = analysis.fraction_str(probes[0].original_similarity)
-        print(f"trials: {len(probes)}")
-        print(f"original similarity: {base}")
-        print(f"differing: {len(differing)}")
-        for p in differing[:5]:
-            print(f"  {base} -> {analysis.fraction_str(p.rewritten_similarity)}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# parser
-
-_RELATE_KINDS = [kind.value for kind in relations.ApproxKind]
-_CHECK_KINDS = list(_RELATIONS) + [
-    k for k in _RELATE_KINDS if k not in ("internal", "external")
-]
+_COMMANDS = {name: Command(*row) for name, row in {
+    "show": (_ONE, lambda s: s, _soft_set, "echo a validated soft set"),
+    "tau": (_ONE, SoftSet.tau, _family, "print the family of value subsets"),
+    "matrix": (_ONE, SoftSet.to_matrix, _matrix, "print the 0/1 matrix"),
+    "canonicalize": (_ONE, SoftSet.canonicalize, _soft_set, "sort attributes by column bits"),
+    "complement": (_ONE, algebra.complement, _soft_set, "value-wise complement"),
+    "gravity": (_ONE, analysis.gravity, _gravity, "per-attribute column sums"),
+    "min-family": (_ONE, relations.min_family, _family, "inclusion-minimal nonempty values"),
+    "max-family": (_ONE, relations.max_family, _family, "inclusion-maximal proper values"),
+    "from-matrix": ((lambda doc: doc,), _from_matrix, _soft_set,
+                    "rebuild a soft set from a matrix", _MATRIX_NAMES),
+    "union": (_TWO, algebra.union, _soft_set, "pairwise unions over A x B"),
+    "intersect": (_TWO, algebra.intersection, _soft_set, "pairwise intersections over A x B"),
+    "product": (_TWO, algebra.product, _soft_set, "cartesian product over X x X"),
+    "sim": (_TWO, analysis.similarity, _fraction, "exact similarity fraction"),
+    "sim-max": (_TWO, analysis.max_similarity_over_orderings, _fraction,
+                "similarity maximized over column order"),
+    "relate": (_TWO, _relate, _verdict, "approximation/equivalence verdict",
+               {"kind": {"required": True, "choices": _KINDS}}),
+    "check-correctness": (
+        _TWO, _check, _report, "probe a relation with family-preserving rewrites",
+        {"kind": {"required": True, "choices": ["equal", "equivalent"] + _KINDS},
+         "trials": {"type": int, "default": 1000}, "seed": _SEED}),
+    "probe-conjecture": (
+        _TWO, analysis.probe_conjecture, _probes,
+        "record similarity across family-preserving rewrites",
+        {"trials": {"type": int, "default": 100}, "seed": _SEED}),
+}.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     style = shared.add_mutually_exclusive_group()
-    style.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    style.add_argument(
-        "--pretty",
-        action="store_true",
-        help="emit aligned text (default)",
-    )
-
+    style.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    style.add_argument("--pretty", action="store_true", help="emit aligned text (default)")
     parser = argparse.ArgumentParser(
         prog="softset",
         description="Soft sets as binary matrices: operations, relations, similarity.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def one_file(name: str, handler, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[shared], help=help_text)
-        p.add_argument("file", metavar="FILE", help="soft set JSON document, or - for stdin")
-        p.set_defaults(handler=handler)
-        return p
-
-    def two_files(name: str, handler, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[shared], help=help_text)
-        p.add_argument("left", metavar="FILE", help="left soft set document")
-        p.add_argument("right", metavar="FILE", help="right soft set document")
-        p.set_defaults(handler=handler)
-        return p
-
-    one_file("show", _cmd_show, "echo a validated soft set")
-    one_file("tau", _cmd_tau, "print the family of value subsets")
-    one_file("matrix", _cmd_matrix, "print the 0/1 matrix")
-    one_file("canonicalize", _cmd_canonicalize, "sort attributes by column bits")
-    one_file("complement", _cmd_complement, "value-wise complement")
-    one_file("gravity", _cmd_gravity, "per-attribute column sums")
-    one_file("min-family", _cmd_min_family, "inclusion-minimal nonempty values")
-    one_file("max-family", _cmd_max_family, "inclusion-maximal proper values")
-
-    from_matrix = one_file(
-        "from-matrix", _cmd_from_matrix, "rebuild a soft set from a matrix"
-    )
-    from_matrix.add_argument(
-        "--universe",
-        required=True,
-        help='row names as a JSON array, e.g. \'["a","b","c"]\'',
-    )
-    from_matrix.add_argument(
-        "--attributes",
-        required=True,
-        help="column names as a JSON array",
-    )
-
-    two_files("union", _cmd_union, "pairwise unions over A x B")
-    two_files("intersect", _cmd_intersect, "pairwise intersections over A x B")
-    two_files("product", _cmd_product, "cartesian product over X x X")
-    two_files("sim", _cmd_sim, "exact similarity fraction")
-    two_files("sim-max", _cmd_sim_max, "similarity maximized over column order")
-
-    relate = two_files("relate", _cmd_relate, "approximation/equivalence verdict")
-    relate.add_argument("--kind", required=True, choices=_RELATE_KINDS)
-
-    check = two_files(
-        "check-correctness",
-        _cmd_check_correctness,
-        "probe a relation with family-preserving rewrites",
-    )
-    check.add_argument("--kind", required=True, choices=_CHECK_KINDS)
-    check.add_argument("--trials", type=int, default=1000)
-    check.add_argument("--seed", type=int, default=0)
-
-    probe = two_files(
-        "probe-conjecture",
-        _cmd_probe_conjecture,
-        "record similarity across family-preserving rewrites",
-    )
-    probe.add_argument("--trials", type=int, default=100)
-    probe.add_argument("--seed", type=int, default=0)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[shared], help=command.help)
+        for help_text in _OPERAND_HELP[len(command.operands)]:
+            p.add_argument("files", action="append", metavar="FILE", help=help_text)
+        for option, settings in command.options.items():
+            p.add_argument("--" + option, **settings)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    args._stdin_doc = _UNSET
+    command = _COMMANDS[args.command]
+    stdin = []  # parsed once, so two `-` operands see the same document
     try:
-        return args.handler(args)
+        operands = []
+        for load, path in zip(command.operands, args.files):
+            if path == "-" and not stdin:
+                stdin.append(json.loads(sys.stdin.read()))
+            operands.append(load(stdin[0] if path == "-" else _read_file(path)))
+        options = {option: getattr(args, option) for option in command.options}
+        lines, value = command.emit(command.call(*operands, **options))
     except SoftSetError as exc:
         print(f"softset: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
         print(f"softset: stdin is not valid JSON: {exc}", file=sys.stderr)
         return 1
+    if args.json:
+        print(_dumps(value))
+    else:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+    return 0
 
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -23,6 +23,7 @@ __all__ = [
     "MissingValue",
     "SoftSet",
     "SoftSetError",
+    "TauFamily",
     "UniverseMismatch",
     "UnknownAttribute",
     "UnknownElement",
@@ -66,6 +67,18 @@ class UniverseMismatch(SoftSetError):
     """Two soft sets were combined across different (or differently ordered) universes."""
 
 
+# Lookup that also maps True/False and 0.0/1.0, which hash and compare
+# equal to the int bits, onto plain ints.
+_BITS = {0: 0, 1: 1}
+
+
+def _bit(entry) -> int:
+    """The slow path for entries the lookup refuses, unhashable ones included."""
+    if entry != 0 and entry != 1:
+        raise SoftSetError(f"matrix entries must be 0 or 1, got {entry!r}")
+    return int(entry)
+
+
 class BitMatrix:
     """Immutable 0/1 matrix stored as a tuple of row tuples.
 
@@ -76,25 +89,30 @@ class BitMatrix:
     __slots__ = ("_bits", "_cols")
 
     def __init__(self, rows: Iterable[Iterable[int]], cols: int | None = None) -> None:
-        bits = tuple(tuple(entry for entry in row) for row in rows)
-        for row in bits:
-            for entry in row:
-                if entry != 0 and entry != 1:
-                    raise SoftSetError(f"matrix entries must be 0 or 1, got {entry!r}")
+        # one pass: check and normalise entries, note the first ragged row;
+        # a bad entry anywhere outranks raggedness, which outranks `cols`
+        bits = []
+        ragged = None
+        for row in rows:
+            row = tuple(row)
+            try:
+                row = tuple(map(_BITS.__getitem__, row))
+            except (KeyError, TypeError):
+                row = tuple(map(_bit, row))
+            if bits and ragged is None and len(row) != len(bits[0]):
+                ragged = f"ragged matrix: row widths {len(row)} and {len(bits[0])}"
+            bits.append(row)
+        if ragged is not None:
+            raise DimensionMismatch(ragged)
         if bits:
             width = len(bits[0])
-            for row in bits:
-                if len(row) != width:
-                    raise DimensionMismatch(
-                        f"ragged matrix: row widths {len(row)} and {width}"
-                    )
             if cols is not None and cols != width:
                 raise DimensionMismatch(f"declared {cols} columns, rows carry {width}")
         else:
             width = 0 if cols is None else cols
             if width < 0:
                 raise DimensionMismatch("column count cannot be negative")
-        self._bits = tuple(tuple(int(e) for e in row) for row in bits)
+        self._bits = tuple(bits)
         self._cols = width
 
     @property

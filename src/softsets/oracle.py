@@ -17,6 +17,8 @@ from .core import SoftSet, SoftSetError, require_same_universe
 from .analysis import EmptyDenominator
 
 __all__ = [
+    "MAX_ENUM_ATTRIBUTES",
+    "MAX_ENUM_UNIVERSE",
     "BoundExceeded",
     "enumerate_soft_sets",
     "oracle_complement",

@@ -1,10 +1,16 @@
 """Command line behavior: output shapes, pipes, exit codes, determinism."""
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import softsets
 from softsets import SoftSet, soft_set_to_document
 from softsets.cli import main
 
@@ -284,3 +290,93 @@ class TestDeterminism:
         second = run(capsys, *argv)
         assert first == second
         assert first[0] == 0
+
+
+# One invocation per subcommand on the abc_f/abc_g fixtures; {m} is abc_f's matrix.
+EVERY_COMMAND = {
+    "show": ("{f}",),
+    "tau": ("{f}",),
+    "matrix": ("{f}",),
+    "canonicalize": ("{f}",),
+    "complement": ("{f}",),
+    "gravity": ("{g}",),
+    "min-family": ("{f}",),
+    "max-family": ("{f}",),
+    "from-matrix": (
+        "{m}", "--universe", '["a","b","c"]', "--attributes", '["x","y","z"]'
+    ),
+    "union": ("{f}", "{g}"),
+    "intersect": ("{f}", "{g}"),
+    "product": ("{f}", "{g}"),
+    "sim": ("{f}", "{g}"),
+    "sim-max": ("{f}", "{g}"),
+    "relate": ("{f}", "{g}", "--kind", "internal"),
+    "check-correctness": ("{f}", "{f}", "--kind", "equal", "--trials", "20"),
+    "probe-conjecture": ("{f}", "{g}", "--trials", "10", "--seed", "2"),
+}
+
+# sha256 over every command's default then --json stdout, in table order
+EVERY_COMMAND_SHA256 = (
+    "4ea3de5c625187a11d6c3d6b66e7fda5de30fdaa37be2c9eab5ea3cfea464aff"
+)
+
+
+class TestEveryCommand:
+    @pytest.fixture
+    def operands(self, tmp_path, f_path, g_path):
+        m_path = tmp_path / "m.json"
+        m_path.write_text("[[0, 0, 1], [1, 0, 0], [1, 1, 0]]")
+        return {"f": f_path, "g": g_path, "m": str(m_path)}
+
+    def argv(self, name, operands):
+        return [name] + [a.format(**operands) for a in EVERY_COMMAND[name]]
+
+    def test_table_names_every_subcommand(self, capsys):
+        _, _, err = run(capsys, "explode")
+        listed = err.split("choose from ", 1)[1].strip().rstrip(")")
+        assert [c.strip(" '") for c in listed.split(",")] == list(EVERY_COMMAND)
+
+    @pytest.mark.parametrize("name", list(EVERY_COMMAND))
+    def test_styles(self, capsys, operands, name):
+        argv = self.argv(name, operands)
+        code, default, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert run(capsys, *argv, "--pretty") == (0, default, "")
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 0 and err == ""
+        json.loads(out)
+
+    def test_output_bytes_are_pinned(self, capsys, operands):
+        digest = hashlib.sha256()
+        for name in EVERY_COMMAND:
+            for style in ((), ("--json",)):
+                digest.update(run(capsys, *self.argv(name, operands), *style)[1].encode())
+        assert digest.hexdigest() == EVERY_COMMAND_SHA256
+
+
+class TestStrictBits:
+    @pytest.mark.parametrize("entry", ["true", "false", "1.0", "0.0"])
+    def test_from_matrix_takes_integer_bits_only(self, capsys, tmp_path, entry):
+        mpath = tmp_path / "m.json"
+        mpath.write_text(f"[[{entry}, 0]]")
+        code, out, err = run(
+            capsys,
+            "from-matrix", str(mpath),
+            "--universe", '["a"]', "--attributes", '["x","y"]',
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("softset: matrix entries must be 0 or 1")
+        assert len(err.splitlines()) == 1
+
+
+def test_module_entry_point_runs_the_cli(capsys, f_path, g_path):
+    argv = ["sim", f_path, g_path, "--json"]
+    main(argv)
+    expected = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(Path(softsets.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "softsets.cli", *argv],
+        capture_output=True, env=env, check=False,
+    )
+    assert done.returncode == 0
+    assert done.stdout.decode() == expected

@@ -29,7 +29,7 @@ class TestBitMatrix:
         assert (m.rows, m.cols) == (3, 2)
 
     def test_rejects_entries_other_than_bits(self):
-        for bad in (2, -1, "1", 0.5, None):
+        for bad in (2, -1, "1", 0.5, None, [1], {}):
             with pytest.raises(SoftSetError):
                 BitMatrix([[0, bad]])
 
@@ -244,3 +244,27 @@ class TestDocuments:
     @given(helpers.soft_sets())
     def test_round_trip_any(self, s):
         assert soft_set_from_document(soft_set_to_document(s)) == s
+
+
+def test_package_exports_are_pinned():
+    import softsets
+
+    assert sorted(softsets.__all__) == [
+        "AntichainProfile", "ApproxKind", "BitMatrix", "BoundExceeded",
+        "ConjectureProbe", "CorrectnessReport", "DimensionMismatch",
+        "DuplicateAttribute", "DuplicateElement", "EmptyDenominator",
+        "MAX_ENUM_ATTRIBUTES", "MAX_ENUM_UNIVERSE", "MAX_PERMUTED_ATTRIBUTES",
+        "MissingValue", "RelationViolation", "SoftSet", "SoftSetError", "TauFamily",
+        "TooManyAttributes", "UniverseMismatch", "UnknownAttribute", "UnknownElement",
+        "antichain_profile", "check_relation_correctness", "complement",
+        "drop_attribute", "duplicate_attribute", "enumerate_soft_sets", "equal",
+        "equivalent", "externally_approximates", "fraction_str", "gravity",
+        "gravity_domination", "internally_approximates", "intersection",
+        "is_permutation_basis", "max_family", "max_similarity_over_orderings",
+        "min_family", "oracle_complement", "oracle_intersection", "oracle_product",
+        "oracle_similarity", "oracle_union", "pair_name", "probe_conjecture",
+        "product", "random_equivalent_variant", "relate", "rename_attributes",
+        "reorder_attributes", "require_same_universe", "similarity",
+        "soft_set_from_document", "soft_set_to_document", "union",
+    ]
+    assert all(hasattr(softsets, name) for name in softsets.__all__)
