@@ -1,11 +1,11 @@
 """Soft sets over a fixed finite universe, in binary matrix form.
 
 A soft set maps each attribute to a subset of the universe.  The
-package keeps universe and attribute order explicit, represents every
-soft set as a 0/1 matrix, and treats the family of value subsets as the
-invariant that equivalence, approximation relations, and the rewrite
-prober are built on.  Similarity is exact rational arithmetic
-throughout; nothing here rounds.
+package keeps universe and attribute order explicit, stores each
+value as one bit mask (a column of the 0/1 matrix), and treats the
+family of value subsets as the invariant that equivalence,
+approximation relations, and the rewrite prober are built on.
+Similarity is exact rational arithmetic throughout; nothing here rounds.
 """
 
 from . import algebra, analysis, core, oracle, relations

@@ -4,15 +4,17 @@ Binary operations pair every attribute of the left operand with every
 attribute of the right one.  Pairing is row-major with the left index
 outer, both for derived attribute tuples and for the product universe,
 so block k of a union's columns is "left column k against all right
-columns" in order.  All computation runs on the bit matrices; the
-set-level counterparts live in the oracle module for cross-checking.
+columns" in order.  All computation runs on the column masks, one int
+per column; the set-level counterparts live in the oracle module for
+cross-checking.
 """
 
 from __future__ import annotations
 
-from operator import and_, or_
+from itertools import product as pairs, starmap
+from operator import and_, mul, or_
 
-from .core import BitMatrix, SoftSet, require_same_universe
+from .core import SoftSet, check_names, require_same_universe
 
 __all__ = ["complement", "intersection", "pair_name", "product", "union"]
 
@@ -22,40 +24,28 @@ def pair_name(left: str, right: str) -> str:
     return f"({left},{right})"
 
 
-def _pairwise(s: SoftSet, f: SoftSet, universe, row_pairs, op) -> SoftSet:
-    """Result row r holds op(x, y) for x in left row r, y in right row r.
-
-    row_pairs yields the (left row, right row) pair behind each result
-    row; columns come out row-major in the left attribute.
-    """
+def _pairwise(s: SoftSet, f: SoftSet, universe, left, right, op) -> SoftSet:
+    """Result column (i, j) is op(left[i], right[j]), row-major in i."""
     attributes = tuple(pair_name(a, b) for a in s.attributes for b in f.attributes)
-    bits = tuple(tuple(op(x, y) for x in krow for y in lrow) for krow, lrow in row_pairs)
-    return SoftSet.from_matrix(
-        universe, attributes, BitMatrix(bits, cols=len(attributes))
-    )
+    return SoftSet._new(universe, attributes, starmap(op, pairs(left, right)))
 
 
 def complement(s: SoftSet) -> SoftSet:
     """Bitwise NOT; same universe, same attributes, values flipped against X."""
-    m = s.to_matrix()
-    flipped = tuple(tuple(1 - e for e in row) for row in m.bits)
-    return SoftSet.from_matrix(
-        s.universe, s.attributes, BitMatrix(flipped, cols=m.cols)
-    )
+    full = s.full_mask
+    return SoftSet._new(s.universe, s.attributes, [full ^ mask for mask in s.masks.values()])
 
 
 def union(s: SoftSet, f: SoftSet) -> SoftSet:
     """Elementwise max over all left-column/right-column pairs."""
     require_same_universe(s, f)
-    rows = zip(s.to_matrix().bits, f.to_matrix().bits)
-    return _pairwise(s, f, s.universe, rows, or_)
+    return _pairwise(s, f, s.universe, s.masks.values(), f.masks.values(), or_)
 
 
 def intersection(s: SoftSet, f: SoftSet) -> SoftSet:
     """Elementwise min over all left-column/right-column pairs."""
     require_same_universe(s, f)
-    rows = zip(s.to_matrix().bits, f.to_matrix().bits)
-    return _pairwise(s, f, s.universe, rows, and_)
+    return _pairwise(s, f, s.universe, s.masks.values(), f.masks.values(), and_)
 
 
 def product(s: SoftSet, f: SoftSet) -> SoftSet:
@@ -63,11 +53,17 @@ def product(s: SoftSet, f: SoftSet) -> SoftSet:
 
     Row (x_k, x_l), column (a_i, b_j) holds 1 exactly when x_k is in
     s(a_i) and x_l is in f(b_j).  Rows are row-major in the first
-    coordinate, columns row-major in the left attribute.
+    coordinate, columns row-major in the left attribute.  Row (x_k, x_l)
+    is bit k*m + l, so column (a_i, b_j) is the OR of b_j << k*m over k
+    in a_i: one multiplication of b_j (below 2**m, so the shifted copies
+    never carry into each other) by a_i with bit k spread to bit k*m.
     """
     require_same_universe(s, f)
     x = s.universe
+    m = len(x)
     universe = tuple(pair_name(u, v) for u in x for v in x)
-    k = s.to_matrix().bits
-    l = f.to_matrix().bits
-    return _pairwise(s, f, universe, ((krow, lrow) for krow in k for lrow in l), and_)
+    # inserting m-1 zero digits between the digits of a moves bit k to bit k*m
+    gap = "0" * (m - 1)
+    spread = [int(gap.join(bin(a | 1 << m)[3:]) or "0", 2) for a in s.masks.values()]
+    check_names(universe, ())  # pair labels can collide, as names can
+    return _pairwise(s, f, universe, spread, f.masks.values(), mul)

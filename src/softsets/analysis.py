@@ -11,12 +11,13 @@ quantifies how much of a score gap is mere column order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, zip_longest
 
 from .core import SoftSet, SoftSetError, require_same_universe
-from .relations import max_family, min_family, random_equivalent_variant
+from .relations import internally_approximates, random_equivalent_variant
+from .relations import maximal_masks, minimal_masks
 
 __all__ = [
     "AntichainProfile",
@@ -50,6 +51,17 @@ def fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _shape(s: SoftSet, f: SoftSet) -> tuple[int, int]:
+    """m and the padded width n, whose product is the score's denominator."""
+    require_same_universe(s, f)
+    m, n = len(s.universe), max(len(s.attributes), len(f.attributes))
+    if m == 0 or n == 0:
+        raise EmptyDenominator(
+            "similarity needs a nonempty universe and at least one attribute"
+        )
+    return m, n
+
+
 def similarity(s: SoftSet, f: SoftSet) -> Fraction:
     """Fraction of cells on which the two matrices agree, exactly.
 
@@ -59,30 +71,15 @@ def similarity(s: SoftSet, f: SoftSet) -> Fraction:
     padded comparison is the same whichever operand is wider, which
     makes the score symmetric.
     """
-    require_same_universe(s, f)
-    m = len(s.universe)
-    na = len(s.attributes)
-    nb = len(f.attributes)
-    n = max(na, nb)
-    if m == 0 or n == 0:
-        raise EmptyDenominator(
-            "similarity needs a nonempty universe and at least one attribute"
-        )
-    a = s.to_matrix().bits
-    b = f.to_matrix().bits
-    agree = 0
-    for i in range(m):
-        ra = a[i]
-        rb = b[i]
-        for j in range(n):
-            if (ra[j] if j < na else 0) == (rb[j] if j < nb else 0):
-                agree += 1
-    return Fraction(agree, m * n)
+    m, n = _shape(s, f)
+    pairs = zip_longest(s.masks.values(), f.masks.values(), fillvalue=0)
+    differ = sum((a ^ b).bit_count() for a, b in pairs)
+    return Fraction(m * n - differ, m * n)
 
 
 def gravity(s: SoftSet) -> dict[str, int]:
     """Column sums of the matrix, keyed by attribute: the size of each value."""
-    return {a: len(s.value(a)) for a in s.attributes}
+    return {a: mask.bit_count() for a, mask in s.masks.items()}
 
 
 def gravity_domination(s: SoftSet, f: SoftSet) -> bool:
@@ -92,21 +89,10 @@ def gravity_domination(s: SoftSet, f: SoftSet) -> bool:
     attribute of s whose nonempty value sits inside it; containment
     forces the witness's gravity to stay at or below the target's, so
     each column of f dominates some column of s even when the column
-    sum totals refuse to line up.
+    sum totals refuse to line up.  Since containment implies the gravity
+    bound, this is exactly internal approximation of f by s.
     """
-    require_same_universe(s, f)
-    gs = gravity(s)
-    gf = gravity(f)
-    for b in f.attributes:
-        target = f.value(b)
-        if not target:
-            continue
-        if not any(
-            s.value(a) and s.value(a) <= target and gs[a] <= gf[b]
-            for a in s.attributes
-        ):
-            return False
-    return True
+    return internally_approximates(s, f)
 
 
 def max_similarity_over_orderings(s: SoftSet, f: SoftSet) -> Fraction:
@@ -119,37 +105,19 @@ def max_similarity_over_orderings(s: SoftSet, f: SoftSet) -> Fraction:
     columns keep comparing against the wider tail.  Never below the
     unpermuted score.
     """
-    require_same_universe(s, f)
-    m = len(s.universe)
-    na = len(s.attributes)
-    nb = len(f.attributes)
-    n = max(na, nb)
-    p = min(na, nb)
-    if m == 0 or n == 0:
-        raise EmptyDenominator(
-            "similarity needs a nonempty universe and at least one attribute"
-        )
+    m, n = _shape(s, f)
+    wide, narrow = (s, f) if len(s.attributes) >= len(f.attributes) else (f, s)
+    p = len(narrow.attributes)
     if p > MAX_PERMUTED_ATTRIBUTES:
         raise TooManyAttributes(
             f"{p} permutable attributes exceed the bound of {MAX_PERMUTED_ATTRIBUTES}"
         )
-    wide, narrow = (s, f) if na >= nb else (f, s)
-    wbits = wide.to_matrix().bits
-    nbits = narrow.to_matrix().bits
+    w = list(wide.masks.values())
+    c = list(narrow.masks.values())
     # agreements in the padded tail do not move with the permutation
-    tail = sum(1 for i in range(m) for j in range(p, n) if wbits[i][j] == 0)
-    score = [
-        [
-            sum(1 for i in range(m) if wbits[i][j] == nbits[i][c])
-            for c in range(p)
-        ]
-        for j in range(p)
-    ]
-    best = 0
-    for perm in permutations(range(p)):
-        total = sum(score[j][perm[j]] for j in range(p))
-        if total > best:
-            best = total
+    tail = sum(m - x.bit_count() for x in w[p:])
+    score = [[m - (x ^ y).bit_count() for y in c] for x in w[:p]]
+    best = max(sum(score[j][perm[j]] for j in range(p)) for perm in permutations(range(p)))
     return Fraction(best + tail, m * n)
 
 
@@ -160,22 +128,15 @@ def is_permutation_basis(s: SoftSet) -> bool:
     singleton, no two values equal.  These are the only 0/1 matrices
     with linearly independent spanning columns.
     """
-    if len(s.attributes) != len(s.universe):
-        return False
-    hits = []
-    for a in s.attributes:
-        v = s.value(a)
-        if len(v) != 1:
-            return False
-        hits.append(next(iter(v)))
-    return len(set(hits)) == len(hits)
+    masks = s.masks.values()
+    return (
+        len(masks) == len(s.universe)
+        and all(mask.bit_count() == 1 for mask in masks)
+        and len(set(masks)) == len(masks)
+    )
 
 
-@dataclass(frozen=True)
-class AntichainProfile:
-    injective: bool
-    all_minimal: bool
-    all_maximal: bool
+AntichainProfile = namedtuple("AntichainProfile", "injective all_minimal all_maximal")
 
 
 def antichain_profile(s: SoftSet) -> AntichainProfile:
@@ -185,21 +146,18 @@ def antichain_profile(s: SoftSet) -> AntichainProfile:
     empty value in tau fails it (the minimal family never contains the
     empty set); all_maximal dually rejects a full-universe value.
     """
-    subsets = [s.value(a) for a in s.attributes]
-    fam = s.tau()
+    fam = set(s.masks.values())
     return AntichainProfile(
-        injective=len(set(subsets)) == len(subsets),
-        all_minimal=fam <= min_family(s),
-        all_maximal=fam <= max_family(s),
+        injective=len(fam) == len(s.attributes),
+        all_minimal=len(minimal_masks(fam)) == len(fam),
+        all_maximal=len(maximal_masks(fam, s.full_mask)) == len(fam),
     )
 
 
-@dataclass(frozen=True)
-class ConjectureProbe:
-    original: tuple[SoftSet, SoftSet]
-    rewritten: tuple[SoftSet, SoftSet]
-    original_similarity: Fraction
-    rewritten_similarity: Fraction
+class ConjectureProbe(namedtuple(
+    "ConjectureProbe", "original rewritten original_similarity rewritten_similarity"
+)):
+    __slots__ = ()
 
     @property
     def differs(self) -> bool:

@@ -26,21 +26,34 @@ __all__ = ["main", "run"]
 # ---------------------------------------------------------------------------
 # input
 
-def _read_file(path: str):
+def _loads(text: str, source: str, invalid: str):
+    """json.loads, with bad JSON and overdeep nesting as one-line errors."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise SoftSetError(f"cannot read {path}: {exc.strerror or exc}") from None
+        return json.loads(text)
+    except RecursionError:
+        raise SoftSetError(f"{source} nests JSON too deeply to parse") from None
     except json.JSONDecodeError as exc:
-        raise SoftSetError(f"{path} is not valid JSON: {exc}") from None
+        raise SoftSetError(f"{invalid}: {exc}") from None
+
+
+def _read(path: str):
+    """The parsed JSON of a FILE operand; `-` is standard input."""
+    source = "stdin" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except OSError as exc:
+        raise SoftSetError(f"cannot read {source}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SoftSetError(f"{source} is not valid UTF-8: {exc}") from None
+    return _loads(text, source, f"{source} is not valid JSON")
 
 
 def _parse_name_array(text: str, flag: str) -> list[str]:
-    try:
-        names = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SoftSetError(f"{flag} must be a JSON array of strings: {exc}") from None
+    names = _loads(text, flag, f"{flag} must be a JSON array of strings")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise SoftSetError(f"{flag} must be a JSON array of strings")
     return names
@@ -226,20 +239,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     command = _COMMANDS[args.command]
-    stdin = []  # parsed once, so two `-` operands see the same document
+    docs = {}  # each path parsed once, so two `-` operands see the same document
     try:
         operands = []
         for load, path in zip(command.operands, args.files):
-            if path == "-" and not stdin:
-                stdin.append(json.loads(sys.stdin.read()))
-            operands.append(load(stdin[0] if path == "-" else _read_file(path)))
+            if path not in docs:
+                docs[path] = _read(path)
+            operands.append(load(docs[path]))
         options = {option: getattr(args, option) for option in command.options}
         lines, value = command.emit(command.call(*operands, **options))
     except SoftSetError as exc:
         print(f"softset: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"softset: stdin is not valid JSON: {exc}", file=sys.stderr)
         return 1
     if args.json:
         print(_dumps(value))

@@ -7,13 +7,18 @@ attribute order fixes matrix columns, and two soft sets interoperate
 only when their universes agree element for element and position for
 position.
 
-Everything here is an immutable value after construction and safe to
-share across threads.
+Each value is stored as one int mask, bit i standing for universe[i];
+names become indices once, in the constructor.  Name sets, the family
+tau, the matrix and the JSON document are built from the masks on
+demand, at the boundary.  Everything here is an immutable value after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import compress
+from types import MappingProxyType
 
 __all__ = [
     "BitMatrix",
@@ -115,6 +120,13 @@ class BitMatrix:
         self._bits = tuple(bits)
         self._cols = width
 
+    @classmethod
+    def _of(cls, bits: tuple[tuple[int, ...], ...], cols: int) -> "BitMatrix":
+        """Unchecked: bits must already be equal-length tuples of int 0/1."""
+        matrix = object.__new__(cls)
+        matrix._bits, matrix._cols = bits, cols
+        return matrix
+
     @property
     def bits(self) -> tuple[tuple[int, ...], ...]:
         return self._bits
@@ -145,49 +157,98 @@ class BitMatrix:
         return f"BitMatrix({[list(row) for row in self._bits]!r}, cols={self._cols})"
 
 
+# "0"/"1" text and 0/1 bytes, one byte per row, row 0 first
+_TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _column(mask: int, m: int) -> bytes:
+    """The column as m bytes 0/1, row 0 (bit 0) first."""
+    return bin(mask | 1 << m)[:2:-1].encode().translate(_TO_BYTES)
+
+
+def _first_repeat(names: Iterable[str]) -> str:
+    seen: set[str] = set()
+    return next(name for name in names if name in seen or seen.add(name))
+
+
+def check_names(universe: tuple, attributes: tuple) -> dict[str, int]:
+    """Check both name tuples for repeats; return the name -> row index map."""
+    index = dict(zip(universe, range(len(universe))))
+    if len(index) != len(universe):
+        raise DuplicateElement(f"universe element {_first_repeat(universe)!r} repeats")
+    if len(set(attributes)) != len(attributes):
+        raise DuplicateAttribute(f"attribute {_first_repeat(attributes)!r} repeats")
+    return index
+
+
 class SoftSet:
-    """An ordered finite universe plus one subset of it per attribute."""
+    """An ordered finite universe plus one subset of it per attribute.
 
-    __slots__ = ("_universe", "_attributes", "_values", "_universe_set", "_matrix", "_tau")
+    Stored as the two name tuples and an attribute -> int mask dict, bit i
+    of a mask standing for universe[i].  The kernel modules work through
+    `masks`, `mask`, `full_mask`, `names` and the unchecked `_new`.
+    """
 
-    def __init__(
-        self,
-        universe: Sequence[str],
-        attributes: Sequence[str],
-        values: Mapping[str, Iterable[str]],
-    ) -> None:
-        self._universe = tuple(universe)
-        self._attributes = tuple(attributes)
-        seen: set[str] = set()
-        for name in self._universe:
-            if name in seen:
-                raise DuplicateElement(f"universe element {name!r} repeats")
-            seen.add(name)
-        self._universe_set = frozenset(self._universe)
-        seen = set()
-        for name in self._attributes:
-            if name in seen:
-                raise DuplicateAttribute(f"attribute {name!r} repeats")
-            seen.add(name)
-        extra = set(values) - seen
+    __slots__ = ("_universe", "_attributes", "_masks")
+
+    def __init__(self, universe: Sequence[str], attributes: Sequence[str],
+                 values: Mapping[str, Iterable[str]]) -> None:
+        universe = tuple(universe)
+        attributes = tuple(attributes)
+        index = check_names(universe, attributes)
+        extra = set(values) - set(attributes)
         if extra:
-            raise UnknownAttribute(
-                f"values given for unknown attributes {sorted(extra)!r}"
-            )
-        fixed: dict[str, frozenset[str]] = {}
-        for name in self._attributes:
+            raise UnknownAttribute(f"values given for unknown attributes {sorted(extra)!r}")
+        masks = {}
+        for name in attributes:
             if name not in values:
                 raise MissingValue(f"attribute {name!r} has no value")
-            subset = frozenset(values[name])
-            stray = subset - self._universe_set
-            if stray:
+            subset = values[name]
+            if isinstance(subset, str):
+                raise SoftSetError(f"value of {name!r} must be a collection, not a string")
+            row = bytearray(b"0") * len(universe)
+            try:
+                for element in subset:
+                    row[index[element]] = 49  # ord("1")
+            except KeyError:
+                stray = sorted({element, *subset} - index.keys())
                 raise UnknownElement(
-                    f"value of {name!r} contains {sorted(stray)!r}, not in the universe"
-                )
-            fixed[name] = subset
-        self._values = fixed
-        self._matrix: BitMatrix | None = None
-        self._tau: frozenset[frozenset[str]] | None = None
+                    f"value of {name!r} contains {stray!r}, not in the universe") from None
+            masks[name] = int(row[::-1] or b"0", 2)  # an empty universe gives no digits
+        self._universe, self._attributes, self._masks = universe, attributes, masks
+
+    @classmethod
+    def _new(cls, universe: tuple, attributes: tuple, masks: Iterable[int]) -> "SoftSet":
+        """Build from checked parts, masks in attribute order.  Only the names
+        are checked, because derived ones (pair labels, copies) can collide."""
+        s = object.__new__(cls)
+        s._universe, s._attributes = universe, attributes
+        s._masks = dict(zip(attributes, masks))
+        if len(s._masks) != len(attributes):
+            raise DuplicateAttribute(f"attribute {_first_repeat(attributes)!r} repeats")
+        return s
+
+    @property
+    def masks(self) -> Mapping[str, int]:
+        """Read-only attribute -> mask map, in attribute order."""
+        return MappingProxyType(self._masks)
+
+    @property
+    def full_mask(self) -> int:
+        """The mask of the whole universe."""
+        return (1 << len(self._universe)) - 1
+
+    def mask(self, attribute: str) -> int:
+        try:
+            return self._masks[attribute]
+        except KeyError:
+            raise UnknownAttribute(f"no attribute {attribute!r}") from None
+
+    def names(self, mask: int) -> frozenset[str]:
+        """The universe elements whose bits are set in mask."""
+        # copying a set sizes the table once, often half what growing it leaves
+        return frozenset(set(compress(self._universe, _column(mask, len(self._universe)))))
 
     @property
     def universe(self) -> tuple[str, ...]:
@@ -195,7 +256,7 @@ class SoftSet:
 
     @property
     def universe_set(self) -> frozenset[str]:
-        return self._universe_set
+        return frozenset(self._universe)
 
     @property
     def attributes(self) -> tuple[str, ...]:
@@ -204,37 +265,24 @@ class SoftSet:
     @property
     def values(self) -> dict[str, frozenset[str]]:
         """Value map as a fresh dict, keyed in attribute order."""
-        return dict(self._values)
+        return {a: self.names(mask) for a, mask in self._masks.items()}
 
     def value(self, attribute: str) -> frozenset[str]:
-        try:
-            return self._values[attribute]
-        except KeyError:
-            raise UnknownAttribute(f"no attribute {attribute!r}") from None
+        return self.names(self.mask(attribute))
 
     def tau(self) -> frozenset[frozenset[str]]:
         """The deduplicated family of all value subsets, empty set included."""
-        if self._tau is None:
-            self._tau = frozenset(self._values.values())
-        return self._tau
+        return frozenset(map(self.names, set(self._masks.values())))
 
     def to_matrix(self) -> BitMatrix:
         """Rows follow universe order, columns follow attribute order."""
-        if self._matrix is None:
-            columns = [self._values[a] for a in self._attributes]
-            rows = tuple(
-                tuple(1 if element in subset else 0 for subset in columns)
-                for element in self._universe
-            )
-            self._matrix = BitMatrix(rows, cols=len(self._attributes))
-        return self._matrix
+        m = len(self._universe)
+        columns = [_column(mask, m) for mask in self._masks.values()]
+        return BitMatrix._of(tuple(zip(*columns)) if columns else ((),) * m, len(columns))
 
     @classmethod
     def from_matrix(
-        cls,
-        universe: Sequence[str],
-        attributes: Sequence[str],
-        matrix: BitMatrix,
+        cls, universe: Sequence[str], attributes: Sequence[str], matrix: BitMatrix
     ) -> "SoftSet":
         """Inverse of to_matrix for matching universe/attribute orders."""
         universe = tuple(universe)
@@ -244,16 +292,9 @@ class SoftSet:
                 f"matrix is {matrix.rows}x{matrix.cols}, "
                 f"expected {len(universe)}x{len(attributes)}"
             )
-        bits = matrix.bits
-        values = {
-            attribute: frozenset(
-                universe[i] for i in range(len(universe)) if bits[i][j]
-            )
-            for j, attribute in enumerate(attributes)
-        }
-        built = cls(universe, attributes, values)
-        built._matrix = matrix
-        return built
+        check_names(universe, attributes)
+        masks = [int(bytes(col).translate(_TO_TEXT)[::-1], 2) for col in zip(*matrix.bits)]
+        return cls._new(universe, attributes, masks or [0] * len(attributes))
 
     def canonicalize(self) -> "SoftSet":
         """Reorder attributes into nondecreasing lexicographic column order.
@@ -261,14 +302,12 @@ class SoftSet:
         Ties break on the attribute name.  Universe order and the value
         map are untouched, so tau is preserved exactly; two soft sets
         with equal column multisets canonicalize to equal matrices.
+        Columns compare as their 0/1 bytes read from row 0 down.
         """
-
-        def column(attribute: str) -> tuple[int, ...]:
-            subset = self._values[attribute]
-            return tuple(1 if e in subset else 0 for e in self._universe)
-
-        order = sorted(self._attributes, key=lambda a: (column(a), a))
-        return SoftSet(self._universe, order, self._values)
+        m = len(self._universe)
+        masks = self._masks
+        order = tuple(sorted(masks, key=lambda a: (_column(masks[a], m), a)))
+        return self._new(self._universe, order, map(masks.__getitem__, order))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SoftSet):
@@ -276,20 +315,16 @@ class SoftSet:
         return (
             self._universe == other._universe
             and self._attributes == other._attributes
-            and self._values == other._values
+            and self._masks == other._masks
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (
-                self._universe,
-                self._attributes,
-                tuple(self._values[a] for a in self._attributes),
-            )
-        )
+        return hash((self._universe, self._attributes, tuple(self._masks.values())))
 
     def __repr__(self) -> str:
-        parts = ", ".join(f"{a!r}: {sorted(self._values[a])!r}" for a in self._attributes)
+        parts = ", ".join(
+            f"{a!r}: {sorted(self.names(mask))!r}" for a, mask in self._masks.items()
+        )
         return f"SoftSet(universe={list(self._universe)!r}, values={{{parts}}})"
 
 
@@ -303,12 +338,13 @@ def require_same_universe(s: SoftSet, f: SoftSet) -> None:
 
 def soft_set_to_document(s: SoftSet) -> dict:
     """JSON-ready document; value subsets are listed in universe order."""
-    position = {name: i for i, name in enumerate(s.universe)}
+    universe = s.universe
+    m = len(universe)
     return {
-        "universe": list(s.universe),
+        "universe": list(universe),
         "attributes": list(s.attributes),
         "values": {
-            a: sorted(s.value(a), key=position.__getitem__) for a in s.attributes
+            a: list(compress(universe, _column(mask, m))) for a, mask in s._masks.items()
         },
     }
 

@@ -10,6 +10,7 @@ to probe whether a relation's verdict survives such rewrites.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -49,32 +50,28 @@ class ApproxKind(Enum):
 def equal(s: SoftSet, t: SoftSet) -> bool:
     """Same attribute set and identical value map; attribute order is immaterial."""
     require_same_universe(s, t)
-    return set(s.attributes) == set(t.attributes) and s.values == t.values
+    return s.masks == t.masks
 
 
 def equivalent(s: SoftSet, t: SoftSet) -> bool:
     """Equality of the value families; the only identity the labels can't disturb."""
     require_same_universe(s, t)
-    return s.tau() == t.tau()
+    return set(s.masks.values()) == set(t.masks.values())
 
 
 def internally_approximates(s: SoftSet, f: SoftSet) -> bool:
     """Every nonempty value of f contains some nonempty value of s."""
     require_same_universe(s, f)
-    sources = [w for w in s.tau() if w]
-    return all(
-        any(w <= v for w in sources) for v in f.tau() if v
-    )
+    sources = {w for w in s.masks.values() if w}
+    return all(any(w | v == v for w in sources) for v in set(f.masks.values()) if v)
 
 
 def externally_approximates(s: SoftSet, f: SoftSet) -> bool:
     """Every non-full value of f sits inside some non-full value of s."""
     require_same_universe(s, f)
-    x = s.universe_set
-    sources = [w for w in s.tau() if w != x]
-    return all(
-        any(w >= v for w in sources) for v in f.tau() if v != x
-    )
+    x = s.full_mask
+    sources = {w for w in s.masks.values() if w != x}
+    return all(any(v | w == w for w in sources) for v in set(f.masks.values()) if v != x)
 
 
 def relate(s: SoftSet, f: SoftSet, kind: ApproxKind) -> bool:
@@ -92,27 +89,38 @@ def relate(s: SoftSet, f: SoftSet, kind: ApproxKind) -> bool:
     if kind is ApproxKind.EXTERNAL_EQUIV:
         return externally_approximates(s, f) and externally_approximates(f, s)
     if kind is ApproxKind.WEAK_EQUIV:
-        return relate(s, f, ApproxKind.INTERNAL_EQUIV) and relate(
-            s, f, ApproxKind.EXTERNAL_EQUIV
-        )
+        return (relate(s, f, ApproxKind.INTERNAL_EQUIV)
+                and relate(s, f, ApproxKind.EXTERNAL_EQUIV))
     raise SoftSetError(f"unknown approximation kind {kind!r}")
+
+
+def minimal_masks(fam: set[int]) -> list[int]:
+    """Inclusion-minimal nonzero masks of fam.  A proper subset has fewer bits,
+    so in bit-count order each mask is tested only against those found."""
+    found: list[int] = []
+    for b in sorted(fam, key=int.bit_count):
+        if b and all(c | b != b for c in found):
+            found.append(b)
+    return found
+
+
+def maximal_masks(fam: set[int], full: int) -> list[int]:
+    """Inclusion-maximal masks of fam other than full; minimal_masks turned over."""
+    found: list[int] = []
+    for b in sorted(fam - {full}, key=int.bit_count, reverse=True):
+        if all(b | c != c for c in found):
+            found.append(b)
+    return found
 
 
 def min_family(s: SoftSet) -> frozenset[frozenset[str]]:
     """Inclusion-minimal nonempty members of tau; the empty set never qualifies."""
-    fam = s.tau()
-    return frozenset(
-        b for b in fam if b and not any(c and c < b for c in fam)
-    )
+    return frozenset(map(s.names, minimal_masks(set(s.masks.values()))))
 
 
 def max_family(s: SoftSet) -> frozenset[frozenset[str]]:
     """Inclusion-maximal proper members of tau; the full universe never qualifies."""
-    fam = s.tau()
-    x = s.universe_set
-    return frozenset(
-        b for b in fam if b != x and not any(c != x and c > b for c in fam)
-    )
+    return frozenset(map(s.names, maximal_masks(set(s.masks.values()), s.full_mask)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +136,13 @@ def rename_attributes(s: SoftSet, suffix: str) -> SoftSet:
     if not suffix:
         return s
     renamed = tuple(a + suffix for a in s.attributes)
-    return SoftSet(
-        s.universe, renamed, {a + suffix: s.value(a) for a in s.attributes}
-    )
+    return SoftSet._new(s.universe, renamed, s.masks.values())
 
 
 def duplicate_attribute(s: SoftSet, attribute: str, new_name: str) -> SoftSet:
     """Add new_name carrying the same value as attribute."""
-    copied = s.value(attribute)
-    values = s.values
-    values[new_name] = copied
-    return SoftSet(s.universe, s.attributes + (new_name,), values)
+    masks = [*s.masks.values(), s.mask(attribute)]
+    return SoftSet._new(s.universe, s.attributes + (new_name,), masks)
 
 
 def drop_attribute(s: SoftSet, attribute: str) -> SoftSet:
@@ -147,13 +151,13 @@ def drop_attribute(s: SoftSet, attribute: str) -> SoftSet:
     Dropping the last carrier of a value would shrink tau, so that is
     refused rather than silently performed.
     """
-    gone = s.value(attribute)
-    if not any(a != attribute and s.value(a) == gone for a in s.attributes):
+    gone = s.mask(attribute)
+    if list(s.masks.values()).count(gone) < 2:
         raise SoftSetError(
-            f"dropping {attribute!r} would remove {sorted(gone)!r} from the family"
+            f"dropping {attribute!r} would remove {sorted(s.names(gone))!r} from the family"
         )
     kept = tuple(a for a in s.attributes if a != attribute)
-    return SoftSet(s.universe, kept, {a: s.value(a) for a in kept})
+    return SoftSet._new(s.universe, kept, map(s.masks.__getitem__, kept))
 
 
 def reorder_attributes(s: SoftSet, order: Sequence[str]) -> SoftSet:
@@ -163,7 +167,7 @@ def reorder_attributes(s: SoftSet, order: Sequence[str]) -> SoftSet:
         raise UnknownAttribute(
             f"{list(order)!r} is not a permutation of {list(s.attributes)!r}"
         )
-    return SoftSet(s.universe, order, s.values)
+    return SoftSet._new(s.universe, order, map(s.masks.__getitem__, order))
 
 
 def _fresh_name(s: SoftSet, stem: str) -> str:
@@ -191,9 +195,9 @@ def random_equivalent_variant(s: SoftSet, rng: random.Random) -> SoftSet:
             source = rng.choice(out.attributes)
             out = duplicate_attribute(out, source, _fresh_name(out, source))
         elif move == 2:
-            by_value: dict[frozenset[str], list[str]] = {}
-            for a in out.attributes:
-                by_value.setdefault(out.value(a), []).append(a)
+            by_value: dict[int, list[str]] = {}
+            for a, mask in out.masks.items():
+                by_value.setdefault(mask, []).append(a)
             droppable = [a for group in by_value.values() if len(group) > 1 for a in group]
             if droppable:
                 out = drop_attribute(out, rng.choice(droppable))
@@ -202,12 +206,8 @@ def random_equivalent_variant(s: SoftSet, rng: random.Random) -> SoftSet:
     return out
 
 
-@dataclass(frozen=True)
-class RelationViolation:
-    original: tuple[SoftSet, SoftSet]
-    rewritten: tuple[SoftSet, SoftSet]
-    original_result: bool
-    rewritten_result: bool
+RelationViolation = namedtuple("RelationViolation",
+                               "original rewritten original_result rewritten_result")
 
 
 @dataclass(frozen=True)

@@ -271,6 +271,38 @@ class TestFailureModes:
         assert code == 1
         assert "similarity needs" in err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"\xff\xfe{", "is not valid UTF-8"),
+            (b"[" * 100000 + b"]" * 100000, "nests JSON too deeply"),
+        ],
+        ids=["not-utf8", "deep-nesting"],
+    )
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_unreadable_input_is_a_one_line_error(
+        self, capsys, tmp_path, monkeypatch, data, message, via
+    ):
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        if via == "stdin":
+            stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+            monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "show", "-" if via == "stdin" else str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("softset: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_deeply_nested_flag_is_a_one_line_error(self, capsys, tmp_path):
+        mpath = tmp_path / "m.json"
+        mpath.write_text("[[1]]")
+        deep = "[" * 5000 + "]" * 5000
+        code, _, err = run(
+            capsys, "from-matrix", str(mpath), "--universe", deep, "--attributes", '["x"]'
+        )
+        assert code == 1
+        assert err == "softset: --universe nests JSON too deeply to parse\n"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

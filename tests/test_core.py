@@ -87,6 +87,10 @@ class TestSoftSetValidation:
         with pytest.raises(UnknownElement):
             SoftSet(("a",), ("x",), {"x": {"b"}})
 
+    def test_string_value_is_not_split_into_characters(self):
+        with pytest.raises(SoftSetError, match="not a string"):
+            SoftSet(("a", "b"), ("x",), {"x": "ab"})
+
     def test_value_lookup_rejects_unknown_name(self, abc_f):
         with pytest.raises(UnknownAttribute):
             abc_f.value("w")
@@ -144,6 +148,17 @@ class TestMatrixForm:
             SoftSet.from_matrix(("a",), ("x", "y"), BitMatrix([[1]]))
         with pytest.raises(DimensionMismatch):
             SoftSet.from_matrix(("a", "b"), ("x",), BitMatrix([[1]]))
+
+    def test_masks_are_the_matrix_columns(self, abc_f):
+        # bit i stands for universe[i]: x -> {b, c} is 0b110
+        assert dict(abc_f.masks) == {"x": 0b110, "y": 0b100, "z": 0b001}
+        assert list(abc_f.masks) == list(abc_f.attributes)
+        assert abc_f.mask("x") == 0b110 and abc_f.full_mask == 0b111
+        assert abc_f.names(0b101) == {"a", "c"}
+        with pytest.raises(TypeError):
+            abc_f.masks["x"] = 0
+        with pytest.raises(UnknownAttribute):
+            abc_f.mask("w")
 
     def test_zero_width_round_trip(self):
         s = SoftSet(("a", "b"), (), {})

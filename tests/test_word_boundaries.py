@@ -1,0 +1,217 @@
+"""Cross-checks at universe sizes that straddle machine-word boundaries.
+
+Values are stored as int masks, one bit per universe element, so sizes
+around 30, 64 and beyond are where a mask bug would hide; the
+hypothesis strategies stop at four elements.  Every check compares the
+library with the set-form oracles or with definitions written out here
+on the generated frozensets, never with the library's own masks.
+"""
+
+import random
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+
+from softsets import (
+    ApproxKind,
+    EmptyDenominator,
+    SoftSet,
+    TooManyAttributes,
+    antichain_profile,
+    complement,
+    equal,
+    equivalent,
+    gravity,
+    gravity_domination,
+    intersection,
+    is_permutation_basis,
+    max_family,
+    max_similarity_over_orderings,
+    min_family,
+    oracle_complement,
+    oracle_intersection,
+    oracle_product,
+    oracle_similarity,
+    oracle_union,
+    product,
+    relate,
+    similarity,
+    soft_set_to_document,
+    union,
+)
+
+SIZES = (1, 29, 30, 31, 63, 64, 65, 200)
+WIDTHS = (0, 1, 3, 9)
+
+
+def columns(rng, universe, width):
+    """Random columns mixed with the edge cases: empty, full, first and
+    last element alone, copies, subsets and supersets of earlier columns."""
+    out = []
+    for _ in range(width):
+        pick = rng.randrange(8)
+        if pick == 0:
+            col = frozenset()
+        elif pick == 1:
+            col = frozenset(universe)
+        elif pick == 2:
+            col = frozenset({universe[rng.choice((0, -1))]})
+        elif pick == 3 and out:
+            col = rng.choice(out)
+        elif pick == 4 and out:
+            col = frozenset(e for e in rng.choice(out) if rng.random() < 0.7)
+        elif pick == 5 and out:
+            col = rng.choice(out) | {e for e in universe if rng.random() < 0.1}
+        else:
+            density = rng.random()
+            col = frozenset(e for e in universe if rng.random() < density)
+        out.append(col)
+    return out
+
+
+def build(universe, prefix, cols):
+    names = tuple(f"{prefix}{j}" for j in range(len(cols)))
+    spec = dict(zip(names, cols))
+    return SoftSet(universe, names, spec), spec
+
+
+# set-form definitions, on the generated frozensets
+
+
+def internal(s, f):
+    sources = [w for w in s.values() if w]
+    return all(any(w <= v for w in sources) for v in f.values() if v)
+
+
+def external(s, f, x):
+    sources = [w for w in s.values() if w != x]
+    return all(any(w >= v for w in sources) for v in f.values() if v != x)
+
+
+def relation(kind, s, f, x):
+    i = (internal(s, f), internal(f, s))
+    e = (external(s, f, x), external(f, s, x))
+    return {
+        ApproxKind.INTERNAL: i[0],
+        ApproxKind.EXTERNAL: e[0],
+        ApproxKind.STRICT_INTERNAL: i[0] and not i[1],
+        ApproxKind.STRICT_EXTERNAL: e[0] and not e[1],
+        ApproxKind.INTERNAL_EQUIV: all(i),
+        ApproxKind.EXTERNAL_EQUIV: all(e),
+        ApproxKind.WEAK_EQUIV: all(i) and all(e),
+    }[kind]
+
+
+def minimal(spec):
+    fam = set(spec.values())
+    return {b for b in fam if b and not any(c and c < b for c in fam)}
+
+
+def maximal(spec, x):
+    fam = set(spec.values())
+    return {b for b in fam if b != x and not any(c != x and c > b for c in fam)}
+
+
+def best_similarity(universe, wide, narrow):
+    """Padded similarity maximized over orderings of the narrow columns."""
+    n, p = len(wide), len(narrow)
+    agree = [[sum((e in x) == (e in y) for e in universe) for y in narrow] for x in wide]
+    tail = sum(len(universe) - len(x) for x in wide[p:])
+    best = max(sum(agree[j][k] for j, k in enumerate(order)) for order in permutations(range(p)))
+    return Fraction(best + tail, len(universe) * n)
+
+
+def check_one(s, spec, universe):
+    x = frozenset(universe)
+    attrs = s.attributes
+    assert complement(s) == oracle_complement(s)
+    assert complement(s).values == {a: x - v for a, v in spec.items()}
+    assert gravity(s) == {a: len(v) for a, v in spec.items()}
+    assert min_family(s) == minimal(spec)
+    assert max_family(s) == maximal(spec, x)
+    assert s.tau() == set(spec.values())
+    assert is_permutation_basis(s) == (
+        len(spec) == len(universe)
+        and all(len(v) == 1 for v in spec.values())
+        and len(set(spec.values())) == len(spec)
+    )
+    fam = set(spec.values())
+    assert tuple(antichain_profile(s)) == (
+        len(fam) == len(spec), fam <= minimal(spec), fam <= maximal(spec, x)
+    )
+    # canonical order: (column read from row 0 down, name), as tuples
+    key = lambda a: (tuple(1 if e in spec[a] else 0 for e in universe), a)  # noqa: E731
+    assert s.canonicalize().attributes == tuple(sorted(attrs, key=key))
+    assert s.canonicalize().values == spec
+    matrix = s.to_matrix()
+    assert matrix.bits == tuple(tuple(int(e in spec[a]) for a in attrs) for e in universe)
+    assert (matrix.rows, matrix.cols) == (len(universe), len(attrs))
+    assert SoftSet.from_matrix(universe, attrs, matrix) == s
+    doc = soft_set_to_document(s)
+    assert doc["values"] == {a: [e for e in universe if e in spec[a]] for a in attrs}
+    assert list(doc["values"]) == list(attrs)
+
+
+def check_pair(s, sspec, f, fspec, universe, with_product=True):
+    x = frozenset(universe)
+    assert union(s, f) == oracle_union(s, f)
+    assert intersection(s, f) == oracle_intersection(s, f)
+    assert union(s, f).values == {
+        f"({a},{b})": v | w for a, v in sspec.items() for b, w in fspec.items()
+    }
+    assert intersection(s, f).values == {
+        f"({a},{b})": v & w for a, v in sspec.items() for b, w in fspec.items()
+    }
+    if with_product:
+        assert product(s, f) == oracle_product(s, f)
+    assert equal(s, f) == (sspec == fspec)
+    assert equivalent(s, f) == (set(sspec.values()) == set(fspec.values()))
+    for kind in ApproxKind:
+        assert relate(s, f, kind) == relation(kind, sspec, fspec, x), kind
+    assert gravity_domination(s, f) == all(
+        any(w and w <= v and len(w) <= len(v) for w in sspec.values())
+        for v in fspec.values() if v
+    )
+    a, b = list(sspec.values()), list(fspec.values())
+    if not (a or b):
+        with pytest.raises(EmptyDenominator):
+            similarity(s, f)
+        return
+    assert similarity(s, f) == oracle_similarity(s, f)
+    if min(len(a), len(b)) > 8:
+        with pytest.raises(TooManyAttributes):
+            max_similarity_over_orderings(s, f)
+        return
+    wide, narrow = (a, b) if len(a) >= len(b) else (b, a)
+    assert max_similarity_over_orderings(s, f) == best_similarity(universe, wide, narrow)
+
+
+@pytest.mark.parametrize("m", SIZES, ids=[f"m={m}" for m in SIZES])
+def test_masks_agree_with_the_set_form(m):
+    rng = random.Random(f"word-boundaries/{m}")
+    universe = tuple(f"u{i}" for i in range(m))
+    built = {w: build(universe, "a", columns(rng, universe, w)) for w in WIDTHS}
+    # nested columns, all large: minimal and maximal members well past a word
+    thirds = (m // 3, m // 2, 2 * m // 3, m - 1)
+    nested = [frozenset(universe[:k]) for k in thirds] + [frozenset(universe[k:]) for k in thirds]
+    built["nested"] = build(universe, "a", nested)
+    for s, spec in built.values():
+        check_one(s, spec, universe)
+    for wb in WIDTHS:
+        f, fspec = build(universe, "b", columns(rng, universe, wb))
+        for key, (s, sspec) in built.items():
+            # the product oracle spells out |a|*|b| pair names per column:
+            # skip the large nested columns, and wide operands past m = 65
+            product_too = key != "nested" and (m <= 65 or key <= 3)
+            check_pair(s, sspec, f, fspec, universe, product_too)
+            check_pair(f, fspec, s, sspec, universe, product_too)
+    # the nested columns against their prefix half, where approximations hold
+    s, spec = built["nested"]
+    f, fspec = build(universe, "b", nested[:4])
+    check_pair(s, spec, f, fspec, universe, False)
+    check_pair(f, fspec, s, spec, universe, False)
+    # equal and equivalent ignore attribute order
+    s, spec = built[9]
+    twin = SoftSet(universe, tuple(spec)[::-1], spec)
+    assert equal(s, twin) and equivalent(s, twin)
