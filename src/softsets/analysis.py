@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from itertools import permutations, zip_longest
+from itertools import permutations, starmap, zip_longest
+from operator import xor
 
 from .core import SoftSet, SoftSetError, require_same_universe
 from .relations import internally_approximates, random_equivalent_variant
@@ -72,9 +73,13 @@ def similarity(s: SoftSet, f: SoftSet) -> Fraction:
     makes the score symmetric.
     """
     m, n = _shape(s, f)
+    return Fraction(m * n - _differ(s, f), m * n)
+
+
+def _differ(s: SoftSet, f: SoftSet) -> int:
+    """Cells on which the matrices, zero-padded to one width, disagree."""
     pairs = zip_longest(s.masks.values(), f.masks.values(), fillvalue=0)
-    differ = sum((a ^ b).bit_count() for a, b in pairs)
-    return Fraction(m * n - differ, m * n)
+    return sum(map(int.bit_count, starmap(xor, pairs)))
 
 
 def gravity(s: SoftSet) -> dict[str, int]:
@@ -180,11 +185,14 @@ def probe_conjecture(
         raise SoftSetError("trials must be at least 1")
     rng = random.Random(seed)
     base = similarity(s, f)
+    # the rewrites keep the universe and a nonzero width, so the checks
+    # base passed hold for every trial
+    m, original = len(s.universe), (s, f)
     probes = []
     for _ in range(trials):
         s2 = random_equivalent_variant(s, rng)
         f2 = random_equivalent_variant(f, rng)
-        probes.append(
-            ConjectureProbe((s, f), (s2, f2), base, similarity(s2, f2))
-        )
+        cells = m * max(len(s2.attributes), len(f2.attributes))
+        score = Fraction(cells - _differ(s2, f2), cells)
+        probes.append(ConjectureProbe(original, (s2, f2), base, score))
     return probes

@@ -25,6 +25,7 @@ __all__ = [
     "DimensionMismatch",
     "DuplicateAttribute",
     "DuplicateElement",
+    "InvalidValue",
     "MissingValue",
     "SoftSet",
     "SoftSetError",
@@ -45,7 +46,7 @@ class SoftSetError(ValueError):
 
 
 class DuplicateElement(SoftSetError):
-    """A universe lists the same element name twice."""
+    """A universe, or a value in a document, lists the same element name twice."""
 
 
 class DuplicateAttribute(SoftSetError):
@@ -58,6 +59,10 @@ class UnknownAttribute(SoftSetError):
 
 class UnknownElement(SoftSetError):
     """A value subset mentions an element outside the universe."""
+
+
+class InvalidValue(SoftSetError):
+    """A value is no collection of hashable elements: a string, a mapping, None."""
 
 
 class MissingValue(SoftSetError):
@@ -172,6 +177,20 @@ def _first_repeat(names: Iterable[str]) -> str:
     return next(name for name in names if name in seen or seen.add(name))
 
 
+def _stray(name, element, rest: Iterable, index: dict) -> SoftSetError:
+    """The error for a value whose element is not in the universe; the rest
+    of the value is read for more strays, or for an unhashable element."""
+    try:
+        stray = {element, *rest} - index.keys()
+    except TypeError as exc:
+        return InvalidValue(f"value of {name!r} must be a collection of universe elements: {exc}")
+    try:
+        stray = sorted(stray)
+    except TypeError:  # elements of mixed types: order them by their text
+        stray = sorted(stray, key=str)
+    return UnknownElement(f"value of {name!r} contains {stray!r}, not in the universe")
+
+
 def check_names(universe: tuple, attributes: tuple) -> dict[str, int]:
     """Check both name tuples for repeats; return the name -> row index map."""
     index = dict(zip(universe, range(len(universe))))
@@ -205,16 +224,18 @@ class SoftSet:
             if name not in values:
                 raise MissingValue(f"attribute {name!r} has no value")
             subset = values[name]
-            if isinstance(subset, str):
-                raise SoftSetError(f"value of {name!r} must be a collection, not a string")
+            if isinstance(subset, (str, Mapping)):
+                kind = "string" if isinstance(subset, str) else "mapping"
+                raise InvalidValue(f"value of {name!r} must be a collection, not a {kind}")
             row = bytearray(b"0") * len(universe)
             try:
                 for element in subset:
                     row[index[element]] = 49  # ord("1")
             except KeyError:
-                stray = sorted({element, *subset} - index.keys())
-                raise UnknownElement(
-                    f"value of {name!r} contains {stray!r}, not in the universe") from None
+                raise _stray(name, element, subset, index) from None
+            except TypeError as exc:  # not iterable, or an unhashable element
+                raise InvalidValue(f"value of {name!r} must be a collection of "
+                                   f"universe elements: {exc}") from None
             masks[name] = int(row[::-1] or b"0", 2)  # an empty universe gives no digits
         self._universe, self._attributes, self._masks = universe, attributes, masks
 
@@ -368,4 +389,10 @@ def soft_set_from_document(doc: object) -> SoftSet:
     for name, subset in values.items():
         if not isinstance(subset, list) or not all(isinstance(e, str) for e in subset):
             raise SoftSetError(f"value of {name!r} must be an array of strings")
-    return SoftSet(universe, attributes, values)
+    s = SoftSet(universe, attributes, values)
+    # the masks count each element once, so a shorter mask means a repeat
+    for name, mask in s._masks.items():
+        if len(values[name]) != mask.bit_count():
+            twice = _first_repeat(values[name])
+            raise DuplicateElement(f"value of {name!r} lists {twice!r} twice")
+    return s

@@ -59,39 +59,54 @@ def equivalent(s: SoftSet, t: SoftSet) -> bool:
     return set(s.masks.values()) == set(t.masks.values())
 
 
+def _covers(sources: set[int], targets: set[int]) -> bool:
+    """Every nonzero target mask contains some nonzero source mask."""
+    for v in targets:
+        if v:
+            for w in sources:
+                if w | v == v and w:
+                    break
+            else:
+                return False
+    return True
+
+
 def internally_approximates(s: SoftSet, f: SoftSet) -> bool:
     """Every nonempty value of f contains some nonempty value of s."""
-    require_same_universe(s, f)
-    sources = {w for w in s.masks.values() if w}
-    return all(any(w | v == v for w in sources) for v in set(f.masks.values()) if v)
+    return relate(s, f, ApproxKind.INTERNAL)
 
 
 def externally_approximates(s: SoftSet, f: SoftSet) -> bool:
     """Every non-full value of f sits inside some non-full value of s."""
-    require_same_universe(s, f)
-    x = s.full_mask
-    sources = {w for w in s.masks.values() if w != x}
-    return all(any(v | w == w for w in sources) for v in set(f.masks.values()) if v != x)
+    return relate(s, f, ApproxKind.EXTERNAL)
+
+
+# kind -> (families compared, True for complemented; the verdict wanted from f over s)
+_KINDS = {
+    ApproxKind.INTERNAL: ((False,), None),
+    ApproxKind.EXTERNAL: ((True,), None),
+    ApproxKind.STRICT_INTERNAL: ((False,), False),
+    ApproxKind.STRICT_EXTERNAL: ((True,), False),
+    ApproxKind.INTERNAL_EQUIV: ((False,), True),
+    ApproxKind.EXTERNAL_EQUIV: ((True,), True),
+    ApproxKind.WEAK_EQUIV: ((False, True), True),
+}
 
 
 def relate(s: SoftSet, f: SoftSet, kind: ApproxKind) -> bool:
     require_same_universe(s, f)
-    if kind is ApproxKind.INTERNAL:
-        return internally_approximates(s, f)
-    if kind is ApproxKind.EXTERNAL:
-        return externally_approximates(s, f)
-    if kind is ApproxKind.STRICT_INTERNAL:
-        return internally_approximates(s, f) and not internally_approximates(f, s)
-    if kind is ApproxKind.STRICT_EXTERNAL:
-        return externally_approximates(s, f) and not externally_approximates(f, s)
-    if kind is ApproxKind.INTERNAL_EQUIV:
-        return internally_approximates(s, f) and internally_approximates(f, s)
-    if kind is ApproxKind.EXTERNAL_EQUIV:
-        return externally_approximates(s, f) and externally_approximates(f, s)
-    if kind is ApproxKind.WEAK_EQUIV:
-        return (relate(s, f, ApproxKind.INTERNAL_EQUIV)
-                and relate(s, f, ApproxKind.EXTERNAL_EQUIV))
-    raise SoftSetError(f"unknown approximation kind {kind!r}")
+    try:
+        families, back = _KINDS[kind]
+    except (KeyError, TypeError):
+        raise SoftSetError(f"unknown approximation kind {kind!r}") from None
+    a, b = set(s.masks.values()), set(f.masks.values())
+    for complemented in families:
+        if complemented:  # v inside w iff X-w inside X-v; v full iff X-v empty
+            x = s.full_mask
+            a, b = {x ^ w for w in a}, {x ^ v for v in b}
+        if not _covers(a, b) or (back is not None and _covers(b, a) is not back):
+            return False
+    return True
 
 
 def minimal_masks(fam: set[int]) -> list[int]:
@@ -128,21 +143,39 @@ def max_family(s: SoftSet) -> frozenset[frozenset[str]]:
 #
 # Each helper returns a soft set with the same universe and the same value
 # family.  They are the moves that make two soft sets "the same" up to
-# attribute bookkeeping.
+# attribute bookkeeping.  Each move is written once, on a names tuple and
+# the masks in that order: the helpers check their arguments before it,
+# random_equivalent_variant chains moves and builds one soft set after them.
+
+
+def _rename(names: tuple, masks, suffix: str) -> tuple:
+    return tuple([a + suffix for a in names]), masks
+
+
+def _duplicate(names: tuple, masks: tuple, attribute: str, new_name: str) -> tuple:
+    return (*names, new_name), (*masks, masks[names.index(attribute)])
+
+
+def _drop(names: tuple, masks: tuple, j: int) -> tuple:
+    return names[:j] + names[j + 1:], masks[:j] + masks[j + 1:]
+
+
+def _reorder(names: tuple, masks: tuple, order: Sequence[int]) -> tuple:
+    return tuple(map(names.__getitem__, order)), tuple(map(masks.__getitem__, order))
 
 
 def rename_attributes(s: SoftSet, suffix: str) -> SoftSet:
     """Append a suffix to every attribute name; a bijective relabeling."""
     if not suffix:
         return s
-    renamed = tuple(a + suffix for a in s.attributes)
-    return SoftSet._new(s.universe, renamed, s.masks.values())
+    return SoftSet._new(s.universe, *_rename(s.attributes, s.masks.values(), suffix))
 
 
 def duplicate_attribute(s: SoftSet, attribute: str, new_name: str) -> SoftSet:
     """Add new_name carrying the same value as attribute."""
-    masks = [*s.masks.values(), s.mask(attribute)]
-    return SoftSet._new(s.universe, s.attributes + (new_name,), masks)
+    s.mask(attribute)  # UnknownAttribute unless s has it
+    moved = _duplicate(s.attributes, tuple(s.masks.values()), attribute, new_name)
+    return SoftSet._new(s.universe, *moved)
 
 
 def drop_attribute(s: SoftSet, attribute: str) -> SoftSet:
@@ -151,13 +184,12 @@ def drop_attribute(s: SoftSet, attribute: str) -> SoftSet:
     Dropping the last carrier of a value would shrink tau, so that is
     refused rather than silently performed.
     """
-    gone = s.mask(attribute)
-    if list(s.masks.values()).count(gone) < 2:
+    gone, masks = s.mask(attribute), tuple(s.masks.values())
+    if masks.count(gone) < 2:
         raise SoftSetError(
             f"dropping {attribute!r} would remove {sorted(s.names(gone))!r} from the family"
         )
-    kept = tuple(a for a in s.attributes if a != attribute)
-    return SoftSet._new(s.universe, kept, map(s.masks.__getitem__, kept))
+    return SoftSet._new(s.universe, *_drop(s.attributes, masks, s.attributes.index(attribute)))
 
 
 def reorder_attributes(s: SoftSet, order: Sequence[str]) -> SoftSet:
@@ -167,15 +199,8 @@ def reorder_attributes(s: SoftSet, order: Sequence[str]) -> SoftSet:
         raise UnknownAttribute(
             f"{list(order)!r} is not a permutation of {list(s.attributes)!r}"
         )
-    return SoftSet._new(s.universe, order, map(s.masks.__getitem__, order))
-
-
-def _fresh_name(s: SoftSet, stem: str) -> str:
-    taken = set(s.attributes)
-    k = 1
-    while f"{stem}+{k}" in taken:
-        k += 1
-    return f"{stem}+{k}"
+    positions = list(map(s.attributes.index, order))
+    return SoftSet._new(s.universe, *_reorder(s.attributes, tuple(s.masks.values()), positions))
 
 
 def random_equivalent_variant(s: SoftSet, rng: random.Random) -> SoftSet:
@@ -184,26 +209,36 @@ def random_equivalent_variant(s: SoftSet, rng: random.Random) -> SoftSet:
     Every step preserves the universe and the value family, so the
     result is always equivalent to s.  Steps that need material to work
     on (an attribute to copy, a duplicated value to drop, two columns
-    to swap) fall through quietly when s is too small.
+    to swap) fall through quietly when s is too small; if all of them
+    do, s itself comes back.  rng gets the calls the helpers would need;
+    sample(range(n), n) draws as sampling the n names does.
     """
-    out = s
+    names = attributes = s.attributes
+    masks, taken = tuple(s.masks.values()), None
     for _ in range(rng.randint(1, 3)):
         move = rng.randrange(4)
-        if move == 0 and out.attributes:
-            out = rename_attributes(out, f"~{rng.randrange(1000)}")
-        elif move == 1 and out.attributes:
-            source = rng.choice(out.attributes)
-            out = duplicate_attribute(out, source, _fresh_name(out, source))
-        elif move == 2:
-            by_value: dict[int, list[str]] = {}
-            for a, mask in out.masks.items():
-                by_value.setdefault(mask, []).append(a)
-            droppable = [a for group in by_value.values() if len(group) > 1 for a in group]
-            if droppable:
-                out = drop_attribute(out, rng.choice(droppable))
-        elif move == 3 and len(out.attributes) > 1:
-            out = reorder_attributes(out, rng.sample(out.attributes, len(out.attributes)))
-    return out
+        if move == 0 and names:
+            names, masks = _rename(names, masks, f"~{rng.randrange(1000)}")
+            taken = None
+        elif move == 1 and names:  # under the first free name stem+k
+            stem, k = rng.choice(names), 1
+            taken = set(names) if taken is None else taken
+            while f"{stem}+{k}" in taken:
+                k += 1
+            taken.add(f"{stem}+{k}")
+            names, masks = _duplicate(names, masks, stem, f"{stem}+{k}")
+        elif move == 2 and len(set(masks)) != len(masks):  # drop a repeat's carrier
+            groups: dict[int, list[int]] = {}
+            for j, w in enumerate(masks):
+                groups.setdefault(w, []).append(j)
+            droppable = [j for group in groups.values() if len(group) > 1 for j in group]
+            j = rng.choice(droppable)
+            if taken is not None:
+                taken.discard(names[j])
+            names, masks = _drop(names, masks, j)
+        elif move == 3 and len(names) > 1:
+            names, masks = _reorder(names, masks, rng.sample(range(len(names)), len(names)))
+    return s if names is attributes else SoftSet._new(s.universe, names, masks)
 
 
 RelationViolation = namedtuple("RelationViolation",

@@ -251,6 +251,13 @@ class TestFailureModes:
         assert code == 1
         assert "repeats" in err
 
+    def test_repeated_element_is_a_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text('{"universe": ["a"], "attributes": ["x"], "values": {"x": ["a", "a"]}}')
+        code, out, err = run(capsys, "show", str(path))
+        assert code == 1 and out == ""
+        assert err == "softset: value of 'x' lists 'a' twice\n"
+
     def test_universe_mismatch_across_operands(self, capsys, doc_path):
         s = SoftSet(("a",), ("x",), {"x": {"a"}})
         f = SoftSet(("b",), ("y",), {"y": {"b"}})

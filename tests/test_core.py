@@ -9,6 +9,7 @@ from softsets import (
     DimensionMismatch,
     DuplicateAttribute,
     DuplicateElement,
+    InvalidValue,
     MissingValue,
     SoftSet,
     SoftSetError,
@@ -90,6 +91,29 @@ class TestSoftSetValidation:
     def test_string_value_is_not_split_into_characters(self):
         with pytest.raises(SoftSetError, match="not a string"):
             SoftSet(("a", "b"), ("x",), {"x": "ab"})
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (None, "not iterable"),
+            (7, "not iterable"),
+            ([["a"]], "unhashable"),
+            ({"a": 1}, "not a mapping"),
+            (["zz", ["a"]], "unhashable"),
+        ],
+        ids=["none", "int", "unhashable-element", "mapping", "stray-then-unhashable"],
+    )
+    def test_value_that_is_no_collection_of_elements(self, value, message):
+        with pytest.raises(InvalidValue, match=message):
+            SoftSet(("a", "b"), ("x",), {"x": value})
+
+    def test_strays_are_listed_in_their_own_order(self):
+        with pytest.raises(UnknownElement, match=r"\[2, 10\]"):
+            SoftSet(("a",), ("x",), {"x": [10, 2]})
+
+    def test_strays_of_mixed_types_are_reported(self):
+        with pytest.raises(UnknownElement, match=r"\[1, 'zz'\]"):
+            SoftSet(("a",), ("x",), {"x": ["zz", 1]})
 
     def test_value_lookup_rejects_unknown_name(self, abc_f):
         with pytest.raises(UnknownAttribute):
@@ -256,6 +280,16 @@ class TestDocuments:
         with pytest.raises(SoftSetError):
             soft_set_from_document(doc)
 
+    def test_repeated_element_in_a_value_is_rejected(self):
+        doc = {"universe": ["a", "b"], "attributes": ["x", "y"],
+               "values": {"x": ["b"], "y": ["a", "b", "a"]}}
+        with pytest.raises(DuplicateElement, match="value of 'y' lists 'a' twice"):
+            soft_set_from_document(doc)
+
+    def test_element_order_inside_a_value_is_free(self):
+        doc = {"universe": ["a", "b"], "attributes": ["x"], "values": {"x": ["b", "a"]}}
+        assert soft_set_from_document(doc).value("x") == {"a", "b"}
+
     @given(helpers.soft_sets())
     def test_round_trip_any(self, s):
         assert soft_set_from_document(soft_set_to_document(s)) == s
@@ -267,7 +301,7 @@ def test_package_exports_are_pinned():
     assert sorted(softsets.__all__) == [
         "AntichainProfile", "ApproxKind", "BitMatrix", "BoundExceeded",
         "ConjectureProbe", "CorrectnessReport", "DimensionMismatch",
-        "DuplicateAttribute", "DuplicateElement", "EmptyDenominator",
+        "DuplicateAttribute", "DuplicateElement", "EmptyDenominator", "InvalidValue",
         "MAX_ENUM_ATTRIBUTES", "MAX_ENUM_UNIVERSE", "MAX_PERMUTED_ATTRIBUTES",
         "MissingValue", "RelationViolation", "SoftSet", "SoftSetError", "TauFamily",
         "TooManyAttributes", "UniverseMismatch", "UnknownAttribute", "UnknownElement",

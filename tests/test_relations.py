@@ -1,5 +1,6 @@
 """Identity, equivalence, the approximation family, rewrites, and the prober."""
 
+import hashlib
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from softsets import (
     internally_approximates,
     max_family,
     min_family,
+    probe_conjecture,
     random_equivalent_variant,
     relate,
     rename_attributes,
@@ -286,3 +288,122 @@ class TestCorrectnessChecker:
         assert report.relation_name == "family-equality"
         with pytest.raises(SoftSetError):
             check_relation_correctness(equivalent, abc_f, abc_g, rewrite_count=0)
+
+
+class TestVariantStream:
+    """The rewrite moves consume the generator draw for draw: these sha256
+    digests of seeded variant streams (each variant's repr, whether it is
+    the operand itself, and one draw after each run) pin that."""
+
+    U = ("a", "b", "c", "d")
+    OPERANDS = {
+        "one-attribute": ((("x",), {"x": {"b", "c"}}),
+                          "911bb73feb0ab9efedf7f9509021006fe785498828947aae8bb6f99401f1da7b"),
+        "distinct": ((("x", "y", "z", "w"),
+                      {"x": {"a"}, "y": {"b", "c"}, "z": set(), "w": set(U)}),
+                     "028f99be6c92a7bfd772aa439c15af974291c8803b7e497c99047fd8203b0080"),
+        "duplicates": ((("p", "q", "r", "s", "t", "u"),
+                        {"p": {"a"}, "q": {"a"}, "r": {"b"}, "s": {"a"}, "t": {"b"}, "u": set()}),
+                       "915d1ae0a63a13de45555788e20448964633c23ba7b544020b29ae80e01777b6"),
+        "taken-stems": ((("x", "x+1", "x+2", "y"),
+                         {"x": {"c"}, "x+1": {"c"}, "x+2": {"d"}, "y": {"c"}}),
+                        "ee0f7093fc6fab168fefe80151c933376ffe804202374c74955020f98f5d2df2"),
+        "zero-width": (((), {}),
+                       "7c8e387bd297dada459b04562d0f0c4ec91504247e51243eeb8012d54dd89119"),
+    }
+    PROBERS_SHA256 = "2466f6c6c53990de6c8478a3406f8794db41cc7305374690e34fad6d8314c6c2"
+
+    def operand(self, name):
+        (attributes, values), _ = self.OPERANDS[name]
+        return SoftSet(self.U, attributes, values)
+
+    @pytest.mark.parametrize("name", list(OPERANDS))
+    def test_variant_stream_is_pinned(self, name):
+        s = self.operand(name)
+        digest = hashlib.sha256()
+        for seed in range(40):
+            rng = random.Random(seed)
+            for _ in range(25):
+                v = random_equivalent_variant(s, rng)
+                digest.update(f"{v is s} {v!r}".encode())
+            digest.update(repr(rng.random()).encode())
+        assert digest.hexdigest() == self.OPERANDS[name][1]
+
+    def test_prober_streams_are_pinned(self):
+        d, t = self.operand("duplicates"), self.operand("distinct")
+        digest = hashlib.sha256()
+        for seed in range(5):
+            for s, f in ((d, t), (d, d)):
+                report = check_relation_correctness(equal, s, f, 100, seed)
+                digest.update(repr(report.violations).encode())
+            digest.update(repr(probe_conjecture(t, d, 100, seed)).encode())
+        assert digest.hexdigest() == self.PROBERS_SHA256
+
+
+class ScriptedRng:
+    """Stands in for random.Random: answers each call from a script of
+    (method, answer) pairs, so a test picks the moves a variant makes."""
+
+    def __init__(self, script):
+        self.script = list(script)
+
+    def _answer(self, method):
+        expected, answer = self.script.pop(0)
+        assert method == expected
+        return answer
+
+    def randint(self, a, b):
+        return self._answer("randint")
+
+    def randrange(self, n):
+        return self._answer("randrange")
+
+    def choice(self, seq):
+        return seq[self._answer("choice")]
+
+
+def test_fresh_names_are_free_after_a_rename():
+    # duplicate y, rename with ~5, duplicate y~5: the old name y~5+1 was
+    # renamed away, so the second copy may take it
+    s = SoftSet(("a", "b"), ("y", "y~5+1"), {"y": {"a"}, "y~5+1": {"b"}})
+    rng = ScriptedRng([("randint", 3), ("randrange", 1), ("choice", 0),
+                       ("randrange", 0), ("randrange", 5), ("randrange", 1), ("choice", 0)])
+    by_helpers = duplicate_attribute(
+        rename_attributes(duplicate_attribute(s, "y", "y+1"), "~5"), "y~5", "y~5+1")
+    variant = random_equivalent_variant(s, rng)
+    assert variant.attributes == by_helpers.attributes == ("y~5", "y~5+1~5", "y+1~5", "y~5+1")
+    assert variant == by_helpers and not rng.script
+
+
+def _set_form_internal(tau_s, tau_f):
+    return all(any(w and w <= v for w in tau_s) for v in tau_f if v)
+
+
+def _set_form_external(tau_s, tau_f, full):
+    return all(any(w != full and v <= w for w in tau_s) for v in tau_f if v != full)
+
+
+def test_every_kind_matches_its_set_form_definition():
+    # universes of 0 to 3 elements, widths 0 to 2: empty and full values on
+    # both sides, which the complemented masks of external approximation meet
+    for universe in ((),) + helpers.UNIVERSES:
+        sets = [SoftSet(universe, (), {})] + helpers.all_soft_sets(universe, 2)
+        full = frozenset(universe)
+        taus = [s.tau() for s in sets]
+        for s, ts in zip(sets, taus):
+            for f, tf in zip(sets, taus):
+                i, i_back = _set_form_internal(ts, tf), _set_form_internal(tf, ts)
+                e, e_back = _set_form_external(ts, tf, full), _set_form_external(tf, ts, full)
+                want = {
+                    ApproxKind.INTERNAL: i,
+                    ApproxKind.EXTERNAL: e,
+                    ApproxKind.STRICT_INTERNAL: i and not i_back,
+                    ApproxKind.STRICT_EXTERNAL: e and not e_back,
+                    ApproxKind.INTERNAL_EQUIV: i and i_back,
+                    ApproxKind.EXTERNAL_EQUIV: e and e_back,
+                    ApproxKind.WEAK_EQUIV: i and i_back and e and e_back,
+                }
+                assert internally_approximates(s, f) == i
+                assert externally_approximates(s, f) == e
+                for kind, expected in want.items():
+                    assert relate(s, f, kind) is expected, (s, f, kind)
