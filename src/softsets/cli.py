@@ -16,9 +16,7 @@ import sys
 from collections import namedtuple
 
 from . import algebra, analysis, relations
-from .core import (
-    BitMatrix, SoftSet, SoftSetError, soft_set_from_document, soft_set_to_document,
-)
+from .core import SoftSet, SoftSetError, soft_set_from_document, soft_set_to_document
 
 __all__ = ["main", "run"]
 
@@ -67,11 +65,7 @@ def _from_matrix(rows, universe: str, attributes: str) -> SoftSet:
         raise SoftSetError("matrix input must be a JSON array of row arrays")
     universe = _parse_name_array(universe, "--universe")
     attributes = _parse_name_array(attributes, "--attributes")
-    # BitMatrix takes anything equal to a bit; a document carries integers only
-    for entry in (e for row in rows for e in row):
-        if type(entry) is not int or entry not in (0, 1):
-            raise SoftSetError(f"matrix entries must be 0 or 1, got {entry!r}")
-    return SoftSet.from_matrix(universe, attributes, BitMatrix(rows, cols=len(attributes)))
+    return SoftSet.from_matrix(universe, attributes, rows)
 
 
 def _relate(s: SoftSet, f: SoftSet, kind: str) -> tuple[str, bool]:
@@ -116,8 +110,8 @@ def _fraction(q):
     return [f"{text} ({float(q):.6g})"], {"similarity": text}
 
 
-def _matrix(m: BitMatrix):
-    return [" ".join(map(str, row)) for row in m.bits], m.bits
+def _matrix(rows: tuple[tuple[int, ...], ...]):
+    return [" ".join(map(str, row)) for row in rows], rows
 
 
 def _gravity(counts: dict[str, int]):

@@ -17,11 +17,11 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import compress
+from itertools import chain, compress
+from operator import countOf
 from types import MappingProxyType
 
 __all__ = [
-    "BitMatrix",
     "DimensionMismatch",
     "DuplicateAttribute",
     "DuplicateElement",
@@ -77,92 +77,7 @@ class UniverseMismatch(SoftSetError):
     """Two soft sets were combined across different (or differently ordered) universes."""
 
 
-# Lookup that also maps True/False and 0.0/1.0, which hash and compare
-# equal to the int bits, onto plain ints.
-_BITS = {0: 0, 1: 1}
-
-
-def _bit(entry) -> int:
-    """The slow path for entries the lookup refuses, unhashable ones included."""
-    if entry != 0 and entry != 1:
-        raise SoftSetError(f"matrix entries must be 0 or 1, got {entry!r}")
-    return int(entry)
-
-
-class BitMatrix:
-    """Immutable 0/1 matrix stored as a tuple of row tuples.
-
-    A zero-row matrix cannot recover its width from the data, so `cols`
-    may be passed explicitly; when rows exist it doubles as a check.
-    """
-
-    __slots__ = ("_bits", "_cols")
-
-    def __init__(self, rows: Iterable[Iterable[int]], cols: int | None = None) -> None:
-        # one pass: check and normalise entries, note the first ragged row;
-        # a bad entry anywhere outranks raggedness, which outranks `cols`
-        bits = []
-        ragged = None
-        for row in rows:
-            row = tuple(row)
-            try:
-                row = tuple(map(_BITS.__getitem__, row))
-            except (KeyError, TypeError):
-                row = tuple(map(_bit, row))
-            if bits and ragged is None and len(row) != len(bits[0]):
-                ragged = f"ragged matrix: row widths {len(row)} and {len(bits[0])}"
-            bits.append(row)
-        if ragged is not None:
-            raise DimensionMismatch(ragged)
-        if bits:
-            width = len(bits[0])
-            if cols is not None and cols != width:
-                raise DimensionMismatch(f"declared {cols} columns, rows carry {width}")
-        else:
-            width = 0 if cols is None else cols
-            if width < 0:
-                raise DimensionMismatch("column count cannot be negative")
-        self._bits = tuple(bits)
-        self._cols = width
-
-    @classmethod
-    def _of(cls, bits: tuple[tuple[int, ...], ...], cols: int) -> "BitMatrix":
-        """Unchecked: bits must already be equal-length tuples of int 0/1."""
-        matrix = object.__new__(cls)
-        matrix._bits, matrix._cols = bits, cols
-        return matrix
-
-    @property
-    def bits(self) -> tuple[tuple[int, ...], ...]:
-        return self._bits
-
-    @property
-    def rows(self) -> int:
-        return len(self._bits)
-
-    @property
-    def cols(self) -> int:
-        return self._cols
-
-    def column(self, j: int) -> tuple[int, ...]:
-        """Column j read top to bottom, in universe order."""
-        if not 0 <= j < self._cols:
-            raise IndexError(f"column {j} out of range for {self._cols} columns")
-        return tuple(row[j] for row in self._bits)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitMatrix):
-            return NotImplemented
-        return self._bits == other._bits and self._cols == other._cols
-
-    def __hash__(self) -> int:
-        return hash((self._bits, self._cols))
-
-    def __repr__(self) -> str:
-        return f"BitMatrix({[list(row) for row in self._bits]!r}, cols={self._cols})"
-
-
-# "0"/"1" text and 0/1 bytes, one byte per row, row 0 first
+# between "0"/"1" text and 0/1 bytes, one byte per matrix cell
 _TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -295,27 +210,46 @@ class SoftSet:
         """The deduplicated family of all value subsets, empty set included."""
         return frozenset(map(self.names, set(self._masks.values())))
 
-    def to_matrix(self) -> BitMatrix:
-        """Rows follow universe order, columns follow attribute order."""
+    def to_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """Row tuples of int 0/1: rows follow universe order, columns attribute order."""
         m = len(self._universe)
         columns = [_column(mask, m) for mask in self._masks.values()]
-        return BitMatrix._of(tuple(zip(*columns)) if columns else ((),) * m, len(columns))
+        return tuple(zip(*columns)) if columns else ((),) * m
 
     @classmethod
-    def from_matrix(
-        cls, universe: Sequence[str], attributes: Sequence[str], matrix: BitMatrix
-    ) -> "SoftSet":
-        """Inverse of to_matrix for matching universe/attribute orders."""
+    def from_matrix(cls, universe: Sequence[str], attributes: Sequence[str],
+                    rows: Iterable[Iterable[int]]) -> "SoftSet":
+        """Inverse of to_matrix for matching universe/attribute orders.
+
+        Entries must be the ints 0 and 1; bool and float are refused.  A bad
+        entry anywhere outranks ragged rows, which outrank the width, which
+        outranks the row count.
+        """
         universe = tuple(universe)
         attributes = tuple(attributes)
-        if matrix.rows != len(universe) or matrix.cols != len(attributes):
-            raise DimensionMismatch(
-                f"matrix is {matrix.rows}x{matrix.cols}, "
-                f"expected {len(universe)}x{len(attributes)}"
-            )
+        n = len(attributes)
+        rows = [tuple(row) for row in rows]
+        try:  # C passes: bytes refuse non-integers and ints past 0..255, then types
+            flat = b"".join(map(bytes, rows))
+            ints = countOf(map(type, chain.from_iterable(rows)), int)
+            bad = flat.translate(None, b"\0\1") or ints != len(flat)
+        except (TypeError, ValueError):
+            bad = True
+        if bad:  # report the first bad entry in row-major order
+            cells = chain.from_iterable(rows)
+            entry = next(e for e in cells if type(e) is not int or e not in (0, 1))
+            raise SoftSetError(f"matrix entries must be 0 or 1, got {entry!r}")
+        width = len(rows[0]) if rows else n
+        for row in rows:
+            if len(row) != width:
+                raise DimensionMismatch(f"ragged matrix: row widths {len(row)} and {width}")
+        if width != n:
+            raise DimensionMismatch(f"declared {n} columns, rows carry {width}")
+        if len(rows) != len(universe):
+            raise DimensionMismatch(f"matrix is {len(rows)}x{n}, expected {len(universe)}x{n}")
         check_names(universe, attributes)
-        masks = [int(bytes(col).translate(_TO_TEXT)[::-1], 2) for col in zip(*matrix.bits)]
-        return cls._new(universe, attributes, masks or [0] * len(attributes))
+        text = flat.translate(_TO_TEXT)  # row-major, so column j is every n-th byte from j
+        return cls._new(universe, attributes, [int(text[j::n][::-1] or b"0", 2) for j in range(n)])
 
     def canonicalize(self) -> "SoftSet":
         """Reorder attributes into nondecreasing lexicographic column order.

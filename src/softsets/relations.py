@@ -149,7 +149,7 @@ def max_family(s: SoftSet) -> frozenset[frozenset[str]]:
 
 
 def _rename(names: tuple, masks, suffix: str) -> tuple:
-    return tuple([a + suffix for a in names]), masks
+    return tuple([f"{a}{suffix}" for a in names]), masks
 
 
 def _duplicate(names: tuple, masks: tuple, attribute: str, new_name: str) -> tuple:
@@ -165,7 +165,8 @@ def _reorder(names: tuple, masks: tuple, order: Sequence[int]) -> tuple:
 
 
 def rename_attributes(s: SoftSet, suffix: str) -> SoftSet:
-    """Append a suffix to every attribute name; a bijective relabeling."""
+    """Append a suffix to every attribute name, rendered as f"{name}{suffix}";
+    a bijective relabeling, or DuplicateAttribute if two render alike (1, "1")."""
     if not suffix:
         return s
     return SoftSet._new(s.universe, *_rename(s.attributes, s.masks.values(), suffix))

@@ -7,7 +7,7 @@ from the definitions before being written down.
 
 import pytest
 
-from softsets import BitMatrix, SoftSet
+from softsets import SoftSet
 
 
 @pytest.fixture
@@ -55,12 +55,12 @@ def sim_pair():
     s = SoftSet.from_matrix(
         ("u1", "u2", "u3"),
         ("e1", "e2", "e3"),
-        BitMatrix([[1, 0, 1], [1, 0, 0], [1, 0, 1]]),
+        [[1, 0, 1], [1, 0, 0], [1, 0, 1]],
     )
     f = SoftSet.from_matrix(
         ("u1", "u2", "u3"),
         ("g1", "g2", "g3", "g4"),
-        BitMatrix([[0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 0]]),
+        [[0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 0]],
     )
     return s, f
 
@@ -80,12 +80,12 @@ def grav_pair():
     s = SoftSet.from_matrix(
         ("u1", "u2", "u3"),
         ("e1", "e2", "e3"),
-        BitMatrix([[1, 1, 1], [1, 1, 0], [0, 1, 0]]),
+        [[1, 1, 1], [1, 1, 0], [0, 1, 0]],
     )
     f = SoftSet.from_matrix(
         ("u1", "u2", "u3"),
         ("g1", "g2", "g3", "g4"),
-        BitMatrix([[1, 1, 1, 1], [1, 0, 0, 1], [0, 0, 1, 1]]),
+        [[1, 1, 1, 1], [1, 0, 0, 1], [0, 0, 1, 1]],
     )
     return s, f
 
@@ -96,12 +96,12 @@ def heavy_pair():
     s = SoftSet.from_matrix(
         ("u1", "u2", "u3"),
         ("e1", "e2", "e3", "e4", "e5"),
-        BitMatrix([[1, 1, 1, 1, 1], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]]),
+        [[1, 1, 1, 1, 1], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]],
     )
     f = SoftSet.from_matrix(
         ("u1", "u2", "u3"),
         ("g1", "g2", "g3"),
-        BitMatrix([[1, 1, 1], [0, 0, 0], [0, 1, 0]]),
+        [[1, 1, 1], [0, 0, 0], [0, 1, 0]],
     )
     return s, f
 

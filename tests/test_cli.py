@@ -1,5 +1,6 @@
 """Command line behavior: output shapes, pipes, exit codes, determinism."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -7,12 +8,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 import softsets
 from softsets import SoftSet, soft_set_to_document
-from softsets.cli import main
+from softsets.cli import _COMMANDS, main
 
 
 @pytest.fixture
@@ -419,3 +424,103 @@ def test_module_entry_point_runs_the_cli(capsys, f_path, g_path):
     )
     assert done.returncode == 0
     assert done.stdout.decode() == expected
+
+
+def test_cli_imports_only_the_standard_library():
+    # compared with what the interpreter loaded before, since site may
+    # preload third-party packages of its own
+    script = ("import sys; before = set(sys.modules); import softsets.cli; "
+              "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(Path(softsets.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    added = done.stdout.split()
+    assert "softsets.cli" in added
+    roots = {name.partition(".")[0] for name in added}
+    assert roots - sys.stdlib_module_names == {"softsets"}
+
+
+# ---------------------------------------------------------------------------
+# fuzz: whatever the argv and the input bytes, main answers with an exit code
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+_BYTES = st.binary(max_size=40) | _JSON.map(json.dumps).map(str.encode)
+_FLAG = st.text(max_size=6) | _JSON.map(json.dumps)
+
+
+def _near(draw, value):
+    """A copy of value with one node, picked top down, swapped for arbitrary JSON."""
+    if not (value and isinstance(value, (list, dict))) or not draw(st.integers(0, 3)):
+        return draw(_JSON)
+    value = value.copy()
+    key = draw(st.sampled_from(sorted(value) if isinstance(value, dict) else range(len(value))))
+    value[key] = _near(draw, value[key])
+    return value
+
+
+@st.composite
+def _invocations(draw):
+    """An argv over the command table, plus the bytes of each operand and of stdin.
+
+    Operands are one well-formed soft set (its matrix for from-matrix), a
+    near miss of it, or arbitrary bytes; most name flags fit it too, so the
+    commands get past their checks often enough to run.
+    """
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    command = _COMMANDS[name]
+    good = draw(helpers.soft_sets(max_universe=3, max_width=3))
+    fitting = json.loads(json.dumps(good.to_matrix() if name == "from-matrix"
+                                    else soft_set_to_document(good)))
+
+    def operand():  # a near miss half the time, else the good one or arbitrary bytes
+        pick = draw(st.integers(0, 3))
+        if pick == 3:
+            return draw(_BYTES)
+        return json.dumps(_near(draw, fitting) if pick else fitting).encode()
+
+    argv, files = [name], {}
+    for i in range(len(command.operands)):
+        if draw(st.booleans()):
+            argv.append("-")
+        else:
+            argv.append(f"operand{i}.json")
+            files[argv[-1]] = operand()
+    for option, settings_ in command.options.items():
+        if "choices" in settings_:
+            value = draw(st.sampled_from(settings_["choices"]) | st.text(max_size=6))
+        elif settings_.get("type") is int:
+            value = str(draw(st.integers(-2, 4) if option == "trials" else st.integers()))
+        else:  # --universe, --attributes
+            value = json.dumps(getattr(good, option)) if draw(st.integers(0, 9)) else draw(_FLAG)
+        if draw(st.integers(0, 9)):  # now and then leave a required option out
+            argv += ["--" + option, value]
+    argv += draw(st.sampled_from([[], [], ["--json"], ["--json"], ["--pretty"],
+                                  ["--json", "--pretty"]]))
+    return argv, files, operand()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_invocations())
+def test_main_answers_any_input_with_an_exit_code(tmp_path_factory, invocation):
+    argv, files, stdin = invocation
+    folder = tmp_path_factory.mktemp("fuzz")
+    for path, data in files.items():
+        (folder / path).write_bytes(data)
+    argv = [str(folder / arg) if arg in files else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin), "utf-8")):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    elif code == 1:
+        assert out.getvalue() == ""
+        assert err.startswith("softset: ") and err.count("\n") == 1

@@ -1,11 +1,12 @@
 """Construction and validation, the matrix round trip, canonical form, documents."""
 
+import re
+
 import pytest
 from hypothesis import given
 
 import helpers
 from softsets import (
-    BitMatrix,
     DimensionMismatch,
     DuplicateAttribute,
     DuplicateElement,
@@ -24,47 +25,76 @@ from helpers import fam
 
 
 class TestBitMatrix:
+    """The 0/1 matrix is plain row tuples; SoftSet.from_matrix is the one
+    place that checks one, with the width taken from the attributes."""
+
+    XY = ("x", "y")
+
     def test_stores_rows_and_shape(self):
-        m = BitMatrix([[0, 1], [1, 1], [0, 0]])
-        assert m.bits == ((0, 1), (1, 1), (0, 0))
-        assert (m.rows, m.cols) == (3, 2)
+        s = SoftSet.from_matrix(("a", "b", "c"), self.XY, [[0, 1], [1, 1], [0, 0]])
+        assert s.to_matrix() == ((0, 1), (1, 1), (0, 0))
+        assert all(type(e) is int for row in s.to_matrix() for e in row)
+        assert s.values == {"x": frozenset({"b"}), "y": frozenset({"a", "b"})}
+
+    def test_takes_any_iterable_of_row_iterables(self):
+        rows = ((bit for bit in row) for row in [[0, 1], [1, 0]])
+        assert SoftSet.from_matrix(("a", "b"), self.XY, rows).to_matrix() == ((0, 1), (1, 0))
 
     def test_rejects_entries_other_than_bits(self):
-        for bad in (2, -1, "1", 0.5, None, [1], {}):
-            with pytest.raises(SoftSetError):
-                BitMatrix([[0, bad]])
+        for bad in (2, -1, "1", 0.5, None, [1], {}, True, False, 1.0, 0.0):
+            message = "^matrix entries must be 0 or 1, got " + re.escape(repr(bad)) + "$"
+            with pytest.raises(SoftSetError, match=message):
+                SoftSet.from_matrix(("a",), self.XY, [[0, bad]])
 
-    def test_bool_entries_count_as_bits(self):
-        # bool is an int subtype; True/False compare equal to 1/0
-        m = BitMatrix([[True, False]])
-        assert m.bits == ((1, 0),)
-        assert all(type(e) is int for row in m.bits for e in row)
+    def test_bool_entries_are_not_bits(self):
+        # bool is an int subtype that compares equal to 1/0; refused all the same
+        with pytest.raises(SoftSetError, match="got True"):
+            SoftSet.from_matrix(("a",), self.XY, [[True, False]])
 
     def test_rejects_ragged_rows(self):
-        with pytest.raises(DimensionMismatch):
-            BitMatrix([[0, 1], [1]])
+        with pytest.raises(DimensionMismatch, match="ragged"):
+            SoftSet.from_matrix(("a", "b"), self.XY, [[0, 1], [1]])
 
     def test_declared_cols_must_match_rows(self):
-        with pytest.raises(DimensionMismatch):
-            BitMatrix([[0, 1]], cols=3)
+        with pytest.raises(DimensionMismatch, match="declared 2 columns, rows carry 3"):
+            SoftSet.from_matrix(("a",), self.XY, [[0, 1, 1]])
 
     def test_zero_rows_take_width_from_cols(self):
-        assert BitMatrix([], cols=4).cols == 4
-        assert BitMatrix([]).cols == 0
-        with pytest.raises(DimensionMismatch):
-            BitMatrix([], cols=-1)
+        s = SoftSet.from_matrix((), self.XY, [])
+        assert s == SoftSet((), self.XY, {"x": (), "y": ()})
+        assert s.to_matrix() == ()
 
     def test_column_reads_top_to_bottom(self):
-        m = BitMatrix([[0, 1], [1, 0]])
-        assert m.column(0) == (0, 1)
-        assert m.column(1) == (1, 0)
-        with pytest.raises(IndexError):
-            m.column(2)
+        s = SoftSet.from_matrix(("a", "b"), self.XY, [[0, 1], [1, 0]])
+        assert list(zip(*s.to_matrix())) == [(0, 1), (1, 0)]
 
-    def test_equality_includes_declared_width(self):
-        assert BitMatrix([], cols=1) != BitMatrix([], cols=2)
-        assert BitMatrix([[1]]) == BitMatrix([[1]], cols=1)
-        assert hash(BitMatrix([[1]])) == hash(BitMatrix([[1]], cols=1))
+    # a bad entry anywhere, in row-major order, outranks ragged rows, which
+    # outrank the width, which outranks the row count
+    @pytest.mark.parametrize(
+        "universe, rows, error, message",
+        [
+            ("ab", [[0, 1], [1]], DimensionMismatch, "ragged matrix: row widths 1 and 2"),
+            ("abc", [[0, 1], [1, 0], [1, 1, 0]], DimensionMismatch,
+             "ragged matrix: row widths 3 and 2"),
+            ("ab", [[0, 1], [1], [0, 2]], SoftSetError, "matrix entries must be 0 or 1, got 2"),
+            ("ab", [[1, 2], [1, True]], SoftSetError, "matrix entries must be 0 or 1, got 2"),
+            ("ab", [[0, 1, 1], [1]], DimensionMismatch, "ragged matrix: row widths 1 and 3"),
+            ("a", [[1]], DimensionMismatch, "declared 2 columns, rows carry 1"),
+            ("abc", [[1, 1]], DimensionMismatch, "matrix is 1x2, expected 3x2"),
+            ("a", [], DimensionMismatch, "matrix is 0x2, expected 1x2"),
+        ],
+        ids=["ragged", "ragged-later-row", "entry-before-ragged", "first-bad-entry",
+             "ragged-before-width", "too-narrow", "too-few-rows", "no-rows"],
+    )
+    def test_checks_in_order(self, universe, rows, error, message):
+        with pytest.raises(error, match="^" + re.escape(message) + "$"):
+            SoftSet.from_matrix(tuple(universe), self.XY, rows)
+
+    def test_names_are_checked_after_the_shape(self):
+        with pytest.raises(DuplicateElement):
+            SoftSet.from_matrix(("a", "a"), self.XY, [[0, 1], [1, 0]])
+        with pytest.raises(DuplicateAttribute):
+            SoftSet.from_matrix(("a",), ("x", "x"), [[0, 1]])
 
 
 class TestSoftSetValidation:
@@ -122,11 +152,11 @@ class TestSoftSetValidation:
     def test_empty_attribute_tuple(self):
         s = SoftSet(("a", "b"), (), {})
         assert s.tau() == frozenset()
-        assert s.to_matrix() == BitMatrix([[], []])
+        assert s.to_matrix() == ((), ())
 
     def test_empty_universe(self):
         s = SoftSet((), ("x",), {"x": set()})
-        assert s.to_matrix() == BitMatrix([], cols=1)
+        assert s.to_matrix() == ()
         assert s.tau() == fam(())
 
     def test_values_property_returns_a_copy(self, abc_f):
@@ -146,20 +176,17 @@ class TestSoftSetValidation:
 
 class TestMatrixForm:
     def test_known_three_by_three(self, abc_f):
-        assert abc_f.to_matrix().bits == ((0, 0, 1), (1, 0, 0), (1, 1, 0))
+        assert abc_f.to_matrix() == ((0, 0, 1), (1, 0, 0), (1, 1, 0))
 
     def test_rows_follow_universe_columns_follow_attributes(self, abc_g):
-        m = abc_g.to_matrix()
         # column j is the indicator vector of the j-th attribute's value
-        assert m.column(0) == (1, 0, 0)
-        assert m.column(1) == (0, 0, 1)
-        assert m.column(2) == (0, 0, 1)
+        assert list(zip(*abc_g.to_matrix())) == [(1, 0, 0), (0, 0, 1), (0, 0, 1)]
 
     def test_extremes(self):
         full = SoftSet(("a", "b"), ("x", "y"), {"x": {"a", "b"}, "y": {"a", "b"}})
         hollow = SoftSet(("a", "b"), ("x", "y"), {"x": set(), "y": set()})
-        assert full.to_matrix().bits == ((1, 1), (1, 1))
-        assert hollow.to_matrix().bits == ((0, 0), (0, 0))
+        assert full.to_matrix() == ((1, 1), (1, 1))
+        assert hollow.to_matrix() == ((0, 0), (0, 0))
 
     def test_from_matrix_inverts_to_matrix(self, abc_f):
         rebuilt = SoftSet.from_matrix(
@@ -169,9 +196,9 @@ class TestMatrixForm:
 
     def test_from_matrix_checks_dimensions(self):
         with pytest.raises(DimensionMismatch):
-            SoftSet.from_matrix(("a",), ("x", "y"), BitMatrix([[1]]))
+            SoftSet.from_matrix(("a",), ("x", "y"), [[1]])
         with pytest.raises(DimensionMismatch):
-            SoftSet.from_matrix(("a", "b"), ("x",), BitMatrix([[1]]))
+            SoftSet.from_matrix(("a", "b"), ("x",), [[1]])
 
     def test_masks_are_the_matrix_columns(self, abc_f):
         # bit i stands for universe[i]: x -> {b, c} is 0b110
@@ -210,7 +237,7 @@ class TestTau:
 class TestCanonicalize:
     def test_sorts_columns(self, abc_f):
         c = abc_f.canonicalize()
-        cols = [c.to_matrix().column(j) for j in range(3)]
+        cols = list(zip(*c.to_matrix()))
         assert cols == sorted(cols)
 
     def test_idempotent(self, abc_f):
@@ -299,7 +326,7 @@ def test_package_exports_are_pinned():
     import softsets
 
     assert sorted(softsets.__all__) == [
-        "AntichainProfile", "ApproxKind", "BitMatrix", "BoundExceeded",
+        "AntichainProfile", "ApproxKind", "BoundExceeded",
         "ConjectureProbe", "CorrectnessReport", "DimensionMismatch",
         "DuplicateAttribute", "DuplicateElement", "EmptyDenominator", "InvalidValue",
         "MAX_ENUM_ATTRIBUTES", "MAX_ENUM_UNIVERSE", "MAX_PERMUTED_ATTRIBUTES",

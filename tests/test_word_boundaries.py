@@ -145,8 +145,7 @@ def check_one(s, spec, universe):
     assert s.canonicalize().attributes == tuple(sorted(attrs, key=key))
     assert s.canonicalize().values == spec
     matrix = s.to_matrix()
-    assert matrix.bits == tuple(tuple(int(e in spec[a]) for a in attrs) for e in universe)
-    assert (matrix.rows, matrix.cols) == (len(universe), len(attrs))
+    assert matrix == tuple(tuple(int(e in spec[a]) for a in attrs) for e in universe)
     assert SoftSet.from_matrix(universe, attrs, matrix) == s
     doc = soft_set_to_document(s)
     assert doc["values"] == {a: [e for e in universe if e in spec[a]] for a in attrs}
