@@ -10,15 +10,13 @@ quantifies how much of a score gap is mere column order.
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations, starmap, zip_longest
 from operator import xor
 
-from .core import SoftSet, SoftSetError, require_same_universe
-from .relations import internally_approximates, random_equivalent_variant
-from .relations import maximal_masks, minimal_masks
+from .core import EmptyDenominator, SoftSet, SoftSetError, require_same_universe
+from .relations import internally_approximates, minimal_masks, rewrite_pairs
 
 __all__ = [
     "AntichainProfile",
@@ -37,10 +35,6 @@ __all__ = [
 ]
 
 MAX_PERMUTED_ATTRIBUTES = 8
-
-
-class EmptyDenominator(SoftSetError):
-    """Similarity is undefined without universe elements and attributes."""
 
 
 class TooManyAttributes(SoftSetError):
@@ -155,7 +149,7 @@ def antichain_profile(s: SoftSet) -> AntichainProfile:
     return AntichainProfile(
         injective=len(fam) == len(s.attributes),
         all_minimal=len(minimal_masks(fam)) == len(fam),
-        all_maximal=len(maximal_masks(fam, s.full_mask)) == len(fam),
+        all_maximal=len(minimal_masks({s.full_mask ^ b for b in fam})) == len(fam),
     )
 
 
@@ -181,17 +175,13 @@ def probe_conjecture(
     denominator, so probes with differs=True are routine; each one
     witnesses that the score is not invariant across equivalent pairs.
     """
-    if trials < 1:
-        raise SoftSetError("trials must be at least 1")
-    rng = random.Random(seed)
+    pairs = rewrite_pairs(s, f, trials, seed, "trials")
     base = similarity(s, f)
     # the rewrites keep the universe and a nonzero width, so the checks
     # base passed hold for every trial
     m, original = len(s.universe), (s, f)
     probes = []
-    for _ in range(trials):
-        s2 = random_equivalent_variant(s, rng)
-        f2 = random_equivalent_variant(f, rng)
+    for s2, f2 in pairs:
         cells = m * max(len(s2.attributes), len(f2.attributes))
         score = Fraction(cells - _differ(s2, f2), cells)
         probes.append(ConjectureProbe(original, (s2, f2), base, score))

@@ -247,8 +247,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if args.json:
         print(_dumps(value))
-    else:
+        return 0
+    try:  # names the stream's encoding cannot carry, such as a lone surrogate
         sys.stdout.write("".join(line + "\n" for line in lines))
+    except UnicodeEncodeError as exc:
+        print(f"softset: cannot write output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -77,6 +77,11 @@ class UniverseMismatch(SoftSetError):
     """Two soft sets were combined across different (or differently ordered) universes."""
 
 
+class EmptyDenominator(SoftSetError):
+    """Similarity is undefined without universe elements and attributes.
+    Exported with similarity by analysis; here so the oracles need only core."""
+
+
 # between "0"/"1" text and 0/1 bytes, one byte per matrix cell
 _TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
@@ -99,20 +104,27 @@ def _stray(name, element, rest: Iterable, index: dict) -> SoftSetError:
         stray = {element, *rest} - index.keys()
     except TypeError as exc:
         return InvalidValue(f"value of {name!r} must be a collection of universe elements: {exc}")
+    return UnknownElement(f"value of {name!r} contains {_sorted(stray)!r}, not in the universe")
+
+
+def _sorted(names: Iterable) -> list:
+    """Sorted, or by their text when names of mixed types refuse to compare."""
     try:
-        stray = sorted(stray)
-    except TypeError:  # elements of mixed types: order them by their text
-        stray = sorted(stray, key=str)
-    return UnknownElement(f"value of {name!r} contains {stray!r}, not in the universe")
+        return sorted(names)
+    except TypeError:
+        return sorted(names, key=str)
 
 
 def check_names(universe: tuple, attributes: tuple) -> dict[str, int]:
-    """Check both name tuples for repeats; return the name -> row index map."""
-    index = dict(zip(universe, range(len(universe))))
-    if len(index) != len(universe):
-        raise DuplicateElement(f"universe element {_first_repeat(universe)!r} repeats")
-    if len(set(attributes)) != len(attributes):
-        raise DuplicateAttribute(f"attribute {_first_repeat(attributes)!r} repeats")
+    """Check both name tuples are hashable, without repeats; return name -> row index."""
+    try:
+        index = dict(zip(universe, range(len(universe))))
+        if len(index) != len(universe):
+            raise DuplicateElement(f"universe element {_first_repeat(universe)!r} repeats")
+        if len(set(attributes)) != len(attributes):
+            raise DuplicateAttribute(f"attribute {_first_repeat(attributes)!r} repeats")
+    except TypeError as exc:
+        raise InvalidValue(f"element and attribute names must be hashable: {exc}") from None
     return index
 
 
@@ -133,7 +145,7 @@ class SoftSet:
         index = check_names(universe, attributes)
         extra = set(values) - set(attributes)
         if extra:
-            raise UnknownAttribute(f"values given for unknown attributes {sorted(extra)!r}")
+            raise UnknownAttribute(f"values given for unknown attributes {_sorted(extra)!r}")
         masks = {}
         for name in attributes:
             if name not in values:
@@ -228,7 +240,10 @@ class SoftSet:
         universe = tuple(universe)
         attributes = tuple(attributes)
         n = len(attributes)
-        rows = [tuple(row) for row in rows]
+        try:
+            rows = [tuple(row) for row in rows]
+        except TypeError as exc:
+            raise SoftSetError(f"matrix must be an iterable of row iterables: {exc}") from None
         try:  # C passes: bytes refuse non-integers and ints past 0..255, then types
             flat = b"".join(map(bytes, rows))
             ints = countOf(map(type, chain.from_iterable(rows)), int)
@@ -254,15 +269,19 @@ class SoftSet:
     def canonicalize(self) -> "SoftSet":
         """Reorder attributes into nondecreasing lexicographic column order.
 
-        Ties break on the attribute name.  Universe order and the value
+        Ties break on the attribute name, or on its text when names of
+        mixed types refuse to compare.  Universe order and the value
         map are untouched, so tau is preserved exactly; two soft sets
         with equal column multisets canonicalize to equal matrices.
         Columns compare as their 0/1 bytes read from row 0 down.
         """
         m = len(self._universe)
         masks = self._masks
-        order = tuple(sorted(masks, key=lambda a: (_column(masks[a], m), a)))
-        return self._new(self._universe, order, map(masks.__getitem__, order))
+        try:
+            order = sorted(masks, key=lambda a: (_column(masks[a], m), a))
+        except TypeError:
+            order = sorted(masks, key=lambda a: (_column(masks[a], m), str(a)))
+        return self._new(self._universe, tuple(order), map(masks.__getitem__, order))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SoftSet):
@@ -277,10 +296,8 @@ class SoftSet:
         return hash((self._universe, self._attributes, tuple(self._masks.values())))
 
     def __repr__(self) -> str:
-        parts = ", ".join(
-            f"{a!r}: {sorted(self.names(mask))!r}" for a, mask in self._masks.items()
-        )
-        return f"SoftSet(universe={list(self._universe)!r}, values={{{parts}}})"
+        doc = soft_set_to_document(self)
+        return f"SoftSet(universe={doc['universe']!r}, values={doc['values']!r})"
 
 
 def require_same_universe(s: SoftSet, f: SoftSet) -> None:

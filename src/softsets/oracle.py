@@ -9,12 +9,11 @@ rather than the same code running twice.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from itertools import product as cartesian
 
-from .core import SoftSet, SoftSetError, require_same_universe
-from .analysis import EmptyDenominator
+from .core import EmptyDenominator, SoftSet, SoftSetError, require_same_universe
 
 __all__ = [
     "MAX_ENUM_ATTRIBUTES",
@@ -43,26 +42,20 @@ def oracle_complement(s: SoftSet) -> SoftSet:
     )
 
 
-def oracle_union(s: SoftSet, f: SoftSet) -> SoftSet:
+def _oracle_pairwise(s: SoftSet, f: SoftSet, op: Callable) -> SoftSet:
+    """One value op(s(a), f(b)) per attribute pair, labelled "(a,b)"."""
     require_same_universe(s, f)
-    attributes = tuple(f"({a},{b})" for a in s.attributes for b in f.attributes)
-    values = {
-        f"({a},{b})": s.value(a) | f.value(b)
-        for a in s.attributes
-        for b in f.attributes
-    }
-    return SoftSet(s.universe, attributes, values)
+    pairs = [(a, b) for a in s.attributes for b in f.attributes]
+    values = {f"({a},{b})": op(s.value(a), f.value(b)) for a, b in pairs}
+    return SoftSet(s.universe, [f"({a},{b})" for a, b in pairs], values)
+
+
+def oracle_union(s: SoftSet, f: SoftSet) -> SoftSet:
+    return _oracle_pairwise(s, f, frozenset.union)
 
 
 def oracle_intersection(s: SoftSet, f: SoftSet) -> SoftSet:
-    require_same_universe(s, f)
-    attributes = tuple(f"({a},{b})" for a in s.attributes for b in f.attributes)
-    values = {
-        f"({a},{b})": s.value(a) & f.value(b)
-        for a in s.attributes
-        for b in f.attributes
-    }
-    return SoftSet(s.universe, attributes, values)
+    return _oracle_pairwise(s, f, frozenset.intersection)
 
 
 def oracle_product(s: SoftSet, f: SoftSet) -> SoftSet:

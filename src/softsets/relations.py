@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import SoftSet, SoftSetError, UnknownAttribute, require_same_universe
+from .core import SoftSet, SoftSetError, UnknownAttribute, _sorted, require_same_universe
 
 __all__ = [
     "ApproxKind",
@@ -119,23 +119,16 @@ def minimal_masks(fam: set[int]) -> list[int]:
     return found
 
 
-def maximal_masks(fam: set[int], full: int) -> list[int]:
-    """Inclusion-maximal masks of fam other than full; minimal_masks turned over."""
-    found: list[int] = []
-    for b in sorted(fam - {full}, key=int.bit_count, reverse=True):
-        if all(b | c != c for c in found):
-            found.append(b)
-    return found
-
-
 def min_family(s: SoftSet) -> frozenset[frozenset[str]]:
     """Inclusion-minimal nonempty members of tau; the empty set never qualifies."""
     return frozenset(map(s.names, minimal_masks(set(s.masks.values()))))
 
 
 def max_family(s: SoftSet) -> frozenset[frozenset[str]]:
-    """Inclusion-maximal proper members of tau; the full universe never qualifies."""
-    return frozenset(map(s.names, maximal_masks(set(s.masks.values()), s.full_mask)))
+    """Inclusion-maximal proper members of tau; the full universe never qualifies.
+    Complements reverse inclusion and send full to the 0 minimal_masks skips."""
+    x = s.full_mask
+    return frozenset(s.names(x ^ b) for b in minimal_masks({x ^ b for b in s.masks.values()}))
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +180,15 @@ def drop_attribute(s: SoftSet, attribute: str) -> SoftSet:
     """
     gone, masks = s.mask(attribute), tuple(s.masks.values())
     if masks.count(gone) < 2:
-        raise SoftSetError(
-            f"dropping {attribute!r} would remove {sorted(s.names(gone))!r} from the family"
-        )
+        raise SoftSetError(f"dropping {attribute!r} would remove "
+                           f"{_sorted(s.names(gone))!r} from the family")
     return SoftSet._new(s.universe, *_drop(s.attributes, masks, s.attributes.index(attribute)))
 
 
 def reorder_attributes(s: SoftSet, order: Sequence[str]) -> SoftSet:
     """Permute the attribute tuple; values travel with their names."""
     order = tuple(order)
-    if sorted(order) != sorted(s.attributes):
+    if len(order) != len(s.attributes) or set(order) != set(s.attributes):
         raise UnknownAttribute(
             f"{list(order)!r} is not a permutation of {list(s.attributes)!r}"
         )
@@ -215,31 +207,37 @@ def random_equivalent_variant(s: SoftSet, rng: random.Random) -> SoftSet:
     sample(range(n), n) draws as sampling the n names does.
     """
     names = attributes = s.attributes
-    masks, taken = tuple(s.masks.values()), None
+    masks = tuple(s.masks.values())
     for _ in range(rng.randint(1, 3)):
         move = rng.randrange(4)
         if move == 0 and names:
             names, masks = _rename(names, masks, f"~{rng.randrange(1000)}")
-            taken = None
         elif move == 1 and names:  # under the first free name stem+k
-            stem, k = rng.choice(names), 1
-            taken = set(names) if taken is None else taken
+            stem, k, taken = rng.choice(names), 1, set(names)
             while f"{stem}+{k}" in taken:
                 k += 1
-            taken.add(f"{stem}+{k}")
             names, masks = _duplicate(names, masks, stem, f"{stem}+{k}")
         elif move == 2 and len(set(masks)) != len(masks):  # drop a repeat's carrier
             groups: dict[int, list[int]] = {}
             for j, w in enumerate(masks):
                 groups.setdefault(w, []).append(j)
             droppable = [j for group in groups.values() if len(group) > 1 for j in group]
-            j = rng.choice(droppable)
-            if taken is not None:
-                taken.discard(names[j])
-            names, masks = _drop(names, masks, j)
+            names, masks = _drop(names, masks, rng.choice(droppable))
         elif move == 3 and len(names) > 1:
             names, masks = _reorder(names, masks, rng.sample(range(len(names)), len(names)))
     return s if names is attributes else SoftSet._new(s.universe, names, masks)
+
+
+def rewrite_pairs(s: SoftSet, f: SoftSet, trials: int, seed: int,
+                  what: str) -> Iterator[tuple[SoftSet, SoftSet]]:
+    """The trials of both probers: trials pairs (s', f') of seeded variants,
+    s' drawn before f'.  A count below 1 is refused here, on the call,
+    before any verdict on (s, f) is taken; what names it in the error."""
+    if trials < 1:
+        raise SoftSetError(f"{what} must be at least 1")
+    rng = random.Random(seed)
+    return ((random_equivalent_variant(s, rng), random_equivalent_variant(f, rng))
+            for _ in range(trials))
 
 
 RelationViolation = namedtuple("RelationViolation",
@@ -272,14 +270,10 @@ def check_relation_correctness(
     relation(s, f).  A clean report certifies only "no violation found
     in this many rewrites"; a single violation is a proof of failure.
     """
-    if rewrite_count < 1:
-        raise SoftSetError("rewrite_count must be at least 1")
-    rng = random.Random(seed)
+    pairs = rewrite_pairs(s, f, rewrite_count, seed, "rewrite_count")
     base = bool(relation(s, f))
     violations = []
-    for _ in range(rewrite_count):
-        s2 = random_equivalent_variant(s, rng)
-        f2 = random_equivalent_variant(f, rng)
+    for s2, f2 in pairs:
         got = bool(relation(s2, f2))
         if got != base:
             violations.append(RelationViolation((s, f), (s2, f2), base, got))

@@ -348,3 +348,8 @@ class TestConjectureProbe:
     def test_probe_rejects_empty_runs(self, abc_f, abc_g):
         with pytest.raises(SoftSetError):
             probe_conjecture(abc_f, abc_g, trials=0)
+
+    def test_bad_count_is_refused_before_the_score_is_taken(self, abc_f):
+        elsewhere = SoftSet(("p",), ("x",), {"x": {"p"}})
+        with pytest.raises(SoftSetError, match="^trials must be at least 1$"):
+            probe_conjecture(abc_f, elsewhere, trials=0)

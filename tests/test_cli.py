@@ -426,6 +426,21 @@ def test_module_entry_point_runs_the_cli(capsys, f_path, g_path):
     assert done.stdout.decode() == expected
 
 
+@pytest.mark.parametrize(
+    "encoding, element", [("utf-8", "\ud800"), ("ascii", "\u00e9")], ids=["surrogate", "ascii"])
+def test_output_the_stream_cannot_encode_is_one_error_line(doc_path, encoding, element):
+    path = doc_path("odd", SoftSet(("a", element), ("x",), {"x": {"a"}}))
+    env = dict(os.environ, PYTHONPATH=str(Path(softsets.__file__).parents[1]),
+               PYTHONIOENCODING=encoding)
+    command = [sys.executable, "-m", "softsets.cli", "show", path]
+    done = subprocess.run(command, capture_output=True, env=env, check=False)
+    assert done.returncode == 1 and done.stdout == b""
+    assert done.stderr.decode().startswith("softset: cannot write output: ")
+    assert len(done.stderr.splitlines()) == 1
+    as_json = subprocess.run([*command, "--json"], capture_output=True, env=env, check=False)
+    assert as_json.returncode == 0 and as_json.stderr == b""
+
+
 def test_cli_imports_only_the_standard_library():
     # compared with what the interpreter loaded before, since site may
     # preload third-party packages of its own

@@ -82,9 +82,14 @@ class TestBitMatrix:
             ("a", [[1]], DimensionMismatch, "declared 2 columns, rows carry 1"),
             ("abc", [[1, 1]], DimensionMismatch, "matrix is 1x2, expected 3x2"),
             ("a", [], DimensionMismatch, "matrix is 0x2, expected 1x2"),
+            ("a", [5], SoftSetError,
+             "matrix must be an iterable of row iterables: 'int' object is not iterable"),
+            ("a", 5, SoftSetError,
+             "matrix must be an iterable of row iterables: 'int' object is not iterable"),
         ],
         ids=["ragged", "ragged-later-row", "entry-before-ragged", "first-bad-entry",
-             "ragged-before-width", "too-narrow", "too-few-rows", "no-rows"],
+             "ragged-before-width", "too-narrow", "too-few-rows", "no-rows",
+             "row-no-iterable", "rows-no-iterable"],
     )
     def test_checks_in_order(self, universe, rows, error, message):
         with pytest.raises(error, match="^" + re.escape(message) + "$"):
@@ -144,6 +149,19 @@ class TestSoftSetValidation:
     def test_strays_of_mixed_types_are_reported(self):
         with pytest.raises(UnknownElement, match=r"\[1, 'zz'\]"):
             SoftSet(("a",), ("x",), {"x": ["zz", 1]})
+
+    def test_unknown_attributes_of_mixed_types_are_reported(self):
+        with pytest.raises(UnknownAttribute, match=r"\[1, 'zz'\]"):
+            SoftSet(("a",), (), {"zz": [], 1: []})
+
+    @pytest.mark.parametrize(
+        "universe, attributes",
+        [((["a"],), ("x",)), (("a",), ("x", ["y"]))],
+        ids=["element", "attribute"],
+    )
+    def test_unhashable_names_are_invalid(self, universe, attributes):
+        with pytest.raises(InvalidValue, match="^element and attribute names must be hashable"):
+            SoftSet(universe, attributes, {})
 
     def test_value_lookup_rejects_unknown_name(self, abc_f):
         with pytest.raises(UnknownAttribute):
@@ -258,6 +276,23 @@ class TestCanonicalize:
     def test_name_breaks_column_ties(self):
         s = SoftSet(("a",), ("q", "p"), {"q": {"a"}, "p": {"a"}})
         assert s.canonicalize().attributes == ("p", "q")
+
+    def test_names_of_mixed_types_break_ties_on_their_text(self):
+        s = SoftSet(("a", "b"), ("q", 1, "1", 0), {"q": {"a"}, 1: {"b"}, "1": {"b"}, 0: {"b"}})
+        # b'10' sorts after b'01'; among the tied columns "0" < "1", and the
+        # sort keeps 1 before "1" as it found them
+        assert s.canonicalize().attributes == (0, 1, "1", "q")
+
+
+class TestRepr:
+    def test_names_follow_universe_order(self):
+        s = SoftSet(("c", "a", "b"), ("x", "y"), {"x": {"a", "b", "c"}, "y": {"b"}})
+        assert repr(s) == ("SoftSet(universe=['c', 'a', 'b'], "
+                           "values={'x': ['c', 'a', 'b'], 'y': ['b']})")
+
+    def test_names_of_mixed_types(self):
+        s = SoftSet(("a", 1, (2, 3)), (0,), {0: {(2, 3), "a", 1}})
+        assert repr(s) == "SoftSet(universe=['a', 1, (2, 3)], values={0: ['a', 1, (2, 3)]})"
 
 
 class TestEqualityModel:

@@ -1,11 +1,14 @@
 """The set-level reference implementations and the instance generator."""
 
+import ast
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
 import helpers
+import softsets
 from softsets import (
     BoundExceeded,
     MAX_ENUM_ATTRIBUTES,
@@ -110,3 +113,17 @@ class TestEnumeration:
             list(enumerate_soft_sets(("e1",), 0))
         with pytest.raises(BoundExceeded):
             list(enumerate_soft_sets(("e1",), MAX_ENUM_ATTRIBUTES + 1))
+
+
+def test_oracles_import_only_core_from_the_package():
+    # agreement with the matrix code is evidence only while the oracles
+    # share nothing with it beyond the SoftSet container
+    tree = ast.parse(Path(softsets.oracle.__file__).read_text(encoding="utf-8"))
+    relative, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            (relative if node.level else absolute).add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute.update(alias.name for alias in node.names)
+    assert relative == {"core"}
+    assert not {name for name in absolute if name.partition(".")[0] == "softsets"}

@@ -184,16 +184,15 @@ class TestFamilies:
         assert max_family(s) == s.tau()
 
     def test_members_come_from_tau(self):
-        for s in helpers.all_soft_sets(("e1", "e2"), 2):
-            assert min_family(s) <= s.tau()
-            assert max_family(s) <= s.tau()
-            # minimality/maximality against the definition, literally
-            for b in min_family(s):
-                assert b and not any(c and c < b for c in s.tau())
-            for b in max_family(s):
-                assert b != s.universe_set and not any(
-                    c != s.universe_set and c > b for c in s.tau()
-                )
+        # equal to the set-form definitions, literally; every universe swept has
+        # empty and full values, the edge members a dual scan could keep or lose
+        for universe in helpers.UNIVERSES:
+            for s in helpers.all_soft_sets(universe, 3):
+                tau, full = s.tau(), s.universe_set
+                assert min_family(s) == {b for b in tau if b and not any(c and c < b for c in tau)}
+                assert max_family(s) == {
+                    b for b in tau if b != full and not any(c != full and c > b for c in tau)
+                }
 
 
 class TestRewrites:
@@ -242,6 +241,18 @@ class TestRewrites:
             reorder_attributes(abc_f, ("z", "x"))
         with pytest.raises(UnknownAttribute):
             reorder_attributes(abc_f, ("z", "x", "x"))
+
+    def test_names_of_mixed_types(self):
+        s = SoftSet(("a", "b"), (1, "1", "x"), {1: {"a"}, "1": {"b"}, "x": ()})
+        flipped = reorder_attributes(s, ("x", 1, "1"))
+        assert flipped.attributes == ("x", 1, "1") and flipped.value(1) == {"a"}
+        with pytest.raises(UnknownAttribute):
+            reorder_attributes(s, (1, "1", "y"))
+
+    def test_drop_refusal_lists_names_of_mixed_types(self):
+        s = SoftSet(("a", 1), ("x",), {"x": {"a", 1}})
+        with pytest.raises(SoftSetError, match=r"would remove \[1, 'a'\]"):
+            drop_attribute(s, "x")
 
     @settings(max_examples=60)
     @given(helpers.soft_sets(min_width=1, max_width=3), st.integers(0, 10**6))
@@ -301,6 +312,11 @@ class TestCorrectnessChecker:
         assert report.relation_name == "family-equality"
         with pytest.raises(SoftSetError):
             check_relation_correctness(equivalent, abc_f, abc_g, rewrite_count=0)
+
+    def test_bad_count_is_refused_before_the_relation_runs(self, abc_f):
+        elsewhere = SoftSet(("p",), ("x",), {"x": {"p"}})
+        with pytest.raises(SoftSetError, match="^rewrite_count must be at least 1$"):
+            check_relation_correctness(equal, abc_f, elsewhere, rewrite_count=0)
 
 
 class TestVariantStream:
