@@ -8,10 +8,14 @@ only when their universes agree element for element and position for
 position.
 
 Each value is stored as one int mask, bit i standing for universe[i];
-names become indices once, in the constructor.  Name sets, the family
-tau, the matrix and the JSON document are built from the masks on
-demand, at the boundary.  Everything here is an immutable value after
-construction and safe to share across threads.
+names become indices once, in the constructor.  Masks are the only form
+the kernels read.  The matrix and the JSON document are built from the
+masks on demand, at the boundary.  A value's name set is built on its
+first request and kept, at most one per distinct value, so tau and the
+families share their member sets; sets for other masks are not kept.
+Everything here is an immutable value after construction and safe to
+share across threads: the kept sets are a cache, equal whichever thread
+builds them, and play no part in equality or hashing.
 """
 
 from __future__ import annotations
@@ -132,11 +136,13 @@ class SoftSet:
     """An ordered finite universe plus one subset of it per attribute.
 
     Stored as the two name tuples and an attribute -> int mask dict, bit i
-    of a mask standing for universe[i].  The kernel modules work through
-    `masks`, `mask`, `full_mask`, `names` and the unchecked `_new`.
+    of a mask standing for universe[i], plus the name sets `names` keeps
+    once asked, which equality and hashing ignore.  The kernel modules
+    work through `masks`, `mask`, `full_mask`, `names` and the unchecked
+    `_new`.
     """
 
-    __slots__ = ("_universe", "_attributes", "_masks")
+    __slots__ = ("_universe", "_attributes", "_masks", "_names")
 
     def __init__(self, universe: Sequence[str], attributes: Sequence[str],
                  values: Mapping[str, Iterable[str]]) -> None:
@@ -190,13 +196,27 @@ class SoftSet:
     def mask(self, attribute: str) -> int:
         try:
             return self._masks[attribute]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise UnknownAttribute(f"no attribute {attribute!r}") from None
 
     def names(self, mask: int) -> frozenset[str]:
-        """The universe elements whose bits are set in mask."""
-        # copying a set sizes the table once, often half what growing it leaves
-        return frozenset(set(compress(self._universe, _column(mask, len(self._universe)))))
+        """The universe elements whose bits are set in mask.
+
+        The set of a value of this soft set is built on first request and
+        kept, so later calls return the same object; the set of any other
+        mask is built afresh each time and not kept.
+        """
+        try:
+            kept = self._names  # distinct value mask -> its set, or None until built
+        except AttributeError:  # first request: neither __init__ nor _new pays
+            kept = self._names = dict.fromkeys(self._masks.values())
+        found = kept.get(mask)
+        if found is None:
+            # copying a set sizes the table once, often half what growing it leaves
+            found = frozenset(set(compress(self._universe, _column(mask, len(self._universe)))))
+            if mask in kept:  # racing threads each keep an equal set, so no lock
+                kept[mask] = found
+        return found
 
     @property
     def universe(self) -> tuple[str, ...]:

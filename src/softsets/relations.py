@@ -15,7 +15,8 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import SoftSet, SoftSetError, UnknownAttribute, _sorted, require_same_universe
+from .core import (SoftSet, SoftSetError, UnknownAttribute, _sorted, check_names,
+                   require_same_universe)
 
 __all__ = [
     "ApproxKind",
@@ -169,7 +170,11 @@ def duplicate_attribute(s: SoftSet, attribute: str, new_name: str) -> SoftSet:
     """Add new_name carrying the same value as attribute."""
     s.mask(attribute)  # UnknownAttribute unless s has it
     moved = _duplicate(s.attributes, tuple(s.masks.values()), attribute, new_name)
-    return SoftSet._new(s.universe, *moved)
+    try:
+        return SoftSet._new(s.universe, *moved)
+    except TypeError:  # an unhashable new_name, refused as the constructor words it
+        check_names(s.universe, moved[0])
+        raise
 
 
 def drop_attribute(s: SoftSet, attribute: str) -> SoftSet:
@@ -188,7 +193,11 @@ def drop_attribute(s: SoftSet, attribute: str) -> SoftSet:
 def reorder_attributes(s: SoftSet, order: Sequence[str]) -> SoftSet:
     """Permute the attribute tuple; values travel with their names."""
     order = tuple(order)
-    if len(order) != len(s.attributes) or set(order) != set(s.attributes):
+    try:
+        unfit = len(order) != len(s.attributes) or set(order) != set(s.attributes)
+    except TypeError:  # an unhashable name is no attribute
+        unfit = True
+    if unfit:
         raise UnknownAttribute(
             f"{list(order)!r} is not a permutation of {list(s.attributes)!r}"
         )

@@ -1,6 +1,10 @@
-"""Construction and validation, the matrix round trip, canonical form, documents."""
+"""Construction and validation, the matrix round trip, canonical form, the
+kept name sets, documents."""
 
+import random
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -17,6 +21,11 @@ from softsets import (
     UniverseMismatch,
     UnknownAttribute,
     UnknownElement,
+    drop_attribute,
+    duplicate_attribute,
+    max_family,
+    min_family,
+    reorder_attributes,
     require_same_universe,
     soft_set_from_document,
     soft_set_to_document,
@@ -163,6 +172,23 @@ class TestSoftSetValidation:
         with pytest.raises(InvalidValue, match="^element and attribute names must be hashable"):
             SoftSet(universe, attributes, {})
 
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda s: s.mask(["x"]), UnknownAttribute, r"^no attribute \['x'\]$"),
+            (lambda s: s.value(["x"]), UnknownAttribute, r"^no attribute \['x'\]$"),
+            (lambda s: drop_attribute(s, ["x"]), UnknownAttribute, r"^no attribute \['x'\]$"),
+            (lambda s: reorder_attributes(s, [["x"]]), UnknownAttribute,
+             r"is not a permutation of \['x'\]$"),
+            (lambda s: duplicate_attribute(s, "x", ["y"]), InvalidValue,
+             r"^element and attribute names must be hashable: unhashable type: 'list'$"),
+        ],
+        ids=["mask", "value", "drop", "reorder", "duplicate"],
+    )
+    def test_unhashable_name_arguments_raise_domain_errors(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call(SoftSet(("a",), ("x",), {"x": {"a"}}))
+
     def test_value_lookup_rejects_unknown_name(self, abc_f):
         with pytest.raises(UnknownAttribute):
             abc_f.value("w")
@@ -250,6 +276,76 @@ class TestTau:
         for s in helpers.all_soft_sets(("e1", "e2"), 3):
             distinct = len({s.value(a) for a in s.attributes})
             assert len(s.tau()) == distinct <= len(s.attributes)
+
+
+class TestKeptNames:
+    """names() keeps the set of each distinct value once built; any other
+    mask's set is built afresh, so at most one set per value is kept."""
+
+    def test_tau_and_families_hand_out_the_kept_sets(self, abc_f):
+        kept = {v: v for v in abc_f.tau()}
+        assert all(kept[v] is v for v in abc_f.tau())
+        assert all(kept[v] is v for v in min_family(abc_f) | max_family(abc_f))
+        assert all(kept[v] is v for v in abc_f.values.values())
+
+    def test_duplicated_columns_share_one_set(self, abc_g):
+        values = abc_g.values
+        assert values["n"] is values["o"] is abc_g.value("n")
+
+    def test_other_masks_are_built_fresh(self, abc_f):
+        abc_f.tau()
+        first, again = abc_f.names(0b101), abc_f.names(0b101)
+        assert first == again == {"a", "c"} and first is not again
+
+    def test_kept_sets_never_outnumber_the_distinct_values(self, abc_g):
+        for mask in range(abc_g.full_mask + 1):
+            abc_g.names(mask)
+        assert len(abc_g._names) == len(abc_g.tau()) == 2
+
+    @pytest.mark.parametrize("build", [
+        lambda u, a, v: SoftSet(u, a, v),
+        lambda u, a, v: SoftSet.from_matrix(u, a, SoftSet(u, a, v).to_matrix()),
+    ], ids=["constructor", "from_matrix"])
+    def test_kept_sets_play_no_part_in_equality(self, build):
+        parts = (("a", "b"), ("x", "y"), {"x": {"a"}, "y": {"a"}})
+        asked, plain = build(*parts), build(*parts)
+        asked.tau(), asked.values
+        assert asked == plain and plain == asked
+        assert hash(asked) == hash(plain) and plain in {asked}
+
+    def test_safe_to_share_across_threads(self):
+        rng = random.Random(11)
+        universe = tuple(f"u{i}" for i in range(200))
+        pool = [frozenset(e for e in universe if rng.random() < 0.5) for _ in range(20)]
+        pool += [rng.choice(pool) & rng.choice(pool) for _ in range(8)]
+        attributes = tuple(f"a{j}" for j in range(40))
+        values = {a: pool[j] if j < len(pool) else rng.choice(pool)
+                  for j, a in enumerate(attributes)}
+        tau = frozenset(values.values())
+        minimal = frozenset(v for v in tau if v and not any(w and w < v for w in tau))
+        s = SoftSet(universe, attributes, values)
+        start, answers = threading.Barrier(8), []
+
+        def read():
+            start.wait(timeout=60)
+            answers.append(all(s.tau() == tau and s.values == values
+                               and min_family(s) == minimal for _ in range(20)))
+
+        before = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(before)
+        assert answers == [True] * 8
+        expected = {s.mask(a): values[a] for a in attributes}
+        assert s._names.keys() == expected.keys()
+        assert all(v is None or v == expected[m] for m, v in s._names.items())
 
 
 class TestCanonicalize:
