@@ -67,13 +67,8 @@ def similarity(s: SoftSet, f: SoftSet) -> Fraction:
     makes the score symmetric.
     """
     m, n = _shape(s, f)
-    return Fraction(m * n - _differ(s, f), m * n)
-
-
-def _differ(s: SoftSet, f: SoftSet) -> int:
-    """Cells on which the matrices, zero-padded to one width, disagree."""
     pairs = zip_longest(s.masks.values(), f.masks.values(), fillvalue=0)
-    return sum(map(int.bit_count, starmap(xor, pairs)))
+    return Fraction(m * n - sum(map(int.bit_count, starmap(xor, pairs))), m * n)
 
 
 def gravity(s: SoftSet) -> dict[str, int]:
@@ -177,12 +172,4 @@ def probe_conjecture(
     """
     pairs = rewrite_pairs(s, f, trials, seed, "trials")
     base = similarity(s, f)
-    # the rewrites keep the universe and a nonzero width, so the checks
-    # base passed hold for every trial
-    m, original = len(s.universe), (s, f)
-    probes = []
-    for s2, f2 in pairs:
-        cells = m * max(len(s2.attributes), len(f2.attributes))
-        score = Fraction(cells - _differ(s2, f2), cells)
-        probes.append(ConjectureProbe(original, (s2, f2), base, score))
-    return probes
+    return [ConjectureProbe((s, f), pair, base, similarity(*pair)) for pair in pairs]

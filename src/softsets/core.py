@@ -204,7 +204,8 @@ class SoftSet:
 
         The set of a value of this soft set is built on first request and
         kept, so later calls return the same object; the set of any other
-        mask is built afresh each time and not kept.
+        mask is built afresh each time and not kept.  A mask below 0 or
+        above full_mask raises InvalidValue.
         """
         try:
             kept = self._names  # distinct value mask -> its set, or None until built
@@ -212,6 +213,8 @@ class SoftSet:
             kept = self._names = dict.fromkeys(self._masks.values())
         found = kept.get(mask)
         if found is None:
+            if not 0 <= mask <= self.full_mask:
+                raise InvalidValue(f"mask {mask} is outside 0..{self.full_mask}")
             # copying a set sizes the table once, often half what growing it leaves
             found = frozenset(set(compress(self._universe, _column(mask, len(self._universe)))))
             if mask in kept:  # racing threads each keep an equal set, so no lock

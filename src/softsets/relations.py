@@ -169,12 +169,9 @@ def rename_attributes(s: SoftSet, suffix: str) -> SoftSet:
 def duplicate_attribute(s: SoftSet, attribute: str, new_name: str) -> SoftSet:
     """Add new_name carrying the same value as attribute."""
     s.mask(attribute)  # UnknownAttribute unless s has it
+    check_names((), (new_name,))  # an unhashable new_name, refused as the constructor words it
     moved = _duplicate(s.attributes, tuple(s.masks.values()), attribute, new_name)
-    try:
-        return SoftSet._new(s.universe, *moved)
-    except TypeError:  # an unhashable new_name, refused as the constructor words it
-        check_names(s.universe, moved[0])
-        raise
+    return SoftSet._new(s.universe, *moved)
 
 
 def drop_attribute(s: SoftSet, attribute: str) -> SoftSet:

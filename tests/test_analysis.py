@@ -169,6 +169,7 @@ class TestMaxSimilarityOverOrderings:
         s, f = two_cover_pair
         assert similarity(s, f) < 1
         assert max_similarity_over_orderings(s, f) == 1
+        assert helpers.best_similarity(3, list(s.values.values()), list(f.values.values())) == 1
 
     def test_never_below_the_raw_score(self, sim_pair):
         s, f = sim_pair
@@ -180,14 +181,28 @@ class TestMaxSimilarityOverOrderings:
     def test_single_column_complement_cannot_align(self):
         s = SoftSet(("a", "b"), ("x",), {"x": {"a"}})
         assert max_similarity_over_orderings(s, complement(s)) == 0
+        assert helpers.best_similarity(2, [frozenset({"a"})], [frozenset({"b"})]) == 0
 
     def test_width_cap_applies_to_the_narrower_side(self):
         u = ("a", "b")
         wide = SoftSet(u, tuple(f"a{i}" for i in range(9)), {f"a{i}": {"a"} for i in range(9)})
         narrow = SoftSet(u, ("b0",), {"b0": {"a"}})
         assert max_similarity_over_orderings(wide, narrow) == Fraction(10, 18)
+        a = frozenset({"a"})
+        assert helpers.best_similarity(2, [a] * 9, [a]) == Fraction(10, 18)
         with pytest.raises(TooManyAttributes):
             max_similarity_over_orderings(wide, wide)
+
+    def test_matches_the_subset_dp_on_every_small_pair(self):
+        # every ordered pair of widths 1 and 2 over 1 to 3 elements: 5620 pairs
+        for universe in helpers.UNIVERSES:
+            sets = helpers.all_soft_sets(universe, 2)
+            columns = [list(s.values.values()) for s in sets]
+            for s, a in zip(sets, columns):
+                for f, b in zip(sets, columns):
+                    wide, narrow = (a, b) if len(a) >= len(b) else (b, a)
+                    best = helpers.best_similarity(len(universe), wide, narrow)
+                    assert max_similarity_over_orderings(s, f) == best, (s, f)
 
     @settings(max_examples=60)
     @given(helpers.soft_set_pairs(max_universe=3, max_width=4))
@@ -273,34 +288,25 @@ class TestAlignmentGuarantees:
                 for f in bases:
                     assert max_similarity_over_orderings(s, f) == 1
 
+    @staticmethod
+    def misaligned(kind):
+        """Counterexample search: pairs related by kind over two elements
+        whose matrices cannot be aligned by any column order."""
+        sets = helpers.all_soft_sets(("e1", "e2"), 2)
+        return [(s, f) for s in sets for f in sets
+                if relate(s, f, kind) and max_similarity_over_orderings(s, f) != 1]
+
     def test_mutual_internal_approximation_does_not_force_alignment(self):
-        # counterexample search: mutually internally approximating pairs
-        # whose matrices cannot be aligned by any column order
-        universe = ("e1", "e2")
-        sets = helpers.all_soft_sets(universe, 2)
-        found = [
-            (s, f)
-            for s in sets
-            for f in sets
-            if relate(s, f, ApproxKind.INTERNAL_EQUIV)
-            and max_similarity_over_orderings(s, f) != 1
-        ]
+        found = self.misaligned(ApproxKind.INTERNAL_EQUIV)
         assert found, "every mutually-internal pair aligned; expected misses"
+        universe = ("e1", "e2")
         s = SoftSet(universe, ("a1",), {"a1": {"e1"}})
         f = SoftSet(universe, ("b1", "b2"), {"b1": {"e1"}, "b2": {"e1", "e2"}})
         assert relate(s, f, ApproxKind.INTERNAL_EQUIV)
         assert max_similarity_over_orderings(s, f) == Fraction(1, 2)
 
     def test_mutual_external_approximation_does_not_force_alignment(self):
-        universe = ("e1", "e2")
-        sets = helpers.all_soft_sets(universe, 2)
-        found = [
-            (s, f)
-            for s in sets
-            for f in sets
-            if relate(s, f, ApproxKind.EXTERNAL_EQUIV)
-            and max_similarity_over_orderings(s, f) != 1
-        ]
+        found = self.misaligned(ApproxKind.EXTERNAL_EQUIV)
         assert found, "every mutually-external pair aligned; expected misses"
 
     def test_matching_antichain_shapes_alone_do_not_force_alignment(self):

@@ -297,6 +297,12 @@ class TestKeptNames:
         first, again = abc_f.names(0b101), abc_f.names(0b101)
         assert first == again == {"a", "c"} and first is not again
 
+    @pytest.mark.parametrize("mask", [-1, -2, 0b1000, 0b11000])
+    def test_masks_outside_the_universe_are_refused(self, mask):
+        s = SoftSet(("a", "b", "c"), ("x",), {"x": {"a"}})
+        with pytest.raises(InvalidValue, match="outside"):
+            s.names(mask)
+
     def test_kept_sets_never_outnumber_the_distinct_values(self, abc_g):
         for mask in range(abc_g.full_mask + 1):
             abc_g.names(mask)
@@ -322,7 +328,7 @@ class TestKeptNames:
         values = {a: pool[j] if j < len(pool) else rng.choice(pool)
                   for j, a in enumerate(attributes)}
         tau = frozenset(values.values())
-        minimal = frozenset(v for v in tau if v and not any(w and w < v for w in tau))
+        minimal = helpers.minimal(tau)
         s = SoftSet(universe, attributes, values)
         start, answers = threading.Barrier(8), []
 

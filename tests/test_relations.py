@@ -128,26 +128,12 @@ class TestApproximations:
     @pytest.mark.parametrize("kind", [ApproxKind.INTERNAL, ApproxKind.EXTERNAL])
     def test_transitive_over_small_enumeration(self, kind):
         # preorder check: encode the relation as one bitmask per set and
-        # verify every reachable row stays inside the starting row
+        # verify every row reachable in one step stays inside the starting row
         for universe, width in ((("e1", "e2"), 3), (("e1", "e2", "e3"), 2)):
             sets = helpers.all_soft_sets(universe, width)
-            rows = []
-            for s in sets:
-                mask = 0
-                for j, f in enumerate(sets):
-                    if relate(s, f, kind):
-                        mask |= 1 << j
-                rows.append(mask)
+            rows = [sum(1 << j for j, f in enumerate(sets) if relate(s, f, kind)) for s in sets]
             for mask in rows:
-                reach = mask
-                j = 0
-                probe = mask
-                while probe:
-                    if probe & 1:
-                        reach |= rows[j]
-                    probe >>= 1
-                    j += 1
-                assert reach == mask
+                assert all(rows[j] | mask == mask for j in range(len(rows)) if mask >> j & 1)
 
 
 class TestFamilies:
@@ -188,11 +174,8 @@ class TestFamilies:
         # empty and full values, the edge members a dual scan could keep or lose
         for universe in helpers.UNIVERSES:
             for s in helpers.all_soft_sets(universe, 3):
-                tau, full = s.tau(), s.universe_set
-                assert min_family(s) == {b for b in tau if b and not any(c and c < b for c in tau)}
-                assert max_family(s) == {
-                    b for b in tau if b != full and not any(c != full and c > b for c in tau)
-                }
+                assert min_family(s) == helpers.minimal(s.tau())
+                assert max_family(s) == helpers.maximal(s.tau(), s.universe_set)
 
 
 class TestRewrites:
@@ -404,14 +387,6 @@ def test_fresh_names_are_free_after_a_rename():
     assert variant == by_helpers and not rng.script
 
 
-def _set_form_internal(tau_s, tau_f):
-    return all(any(w and w <= v for w in tau_s) for v in tau_f if v)
-
-
-def _set_form_external(tau_s, tau_f, full):
-    return all(any(w != full and v <= w for w in tau_s) for v in tau_f if v != full)
-
-
 def test_every_kind_matches_its_set_form_definition():
     # universes of 0 to 3 elements, widths 0 to 2: empty and full values on
     # both sides, which the complemented masks of external approximation meet
@@ -421,18 +396,7 @@ def test_every_kind_matches_its_set_form_definition():
         taus = [s.tau() for s in sets]
         for s, ts in zip(sets, taus):
             for f, tf in zip(sets, taus):
-                i, i_back = _set_form_internal(ts, tf), _set_form_internal(tf, ts)
-                e, e_back = _set_form_external(ts, tf, full), _set_form_external(tf, ts, full)
-                want = {
-                    ApproxKind.INTERNAL: i,
-                    ApproxKind.EXTERNAL: e,
-                    ApproxKind.STRICT_INTERNAL: i and not i_back,
-                    ApproxKind.STRICT_EXTERNAL: e and not e_back,
-                    ApproxKind.INTERNAL_EQUIV: i and i_back,
-                    ApproxKind.EXTERNAL_EQUIV: e and e_back,
-                    ApproxKind.WEAK_EQUIV: i and i_back and e and e_back,
-                }
-                assert internally_approximates(s, f) == i
-                assert externally_approximates(s, f) == e
-                for kind, expected in want.items():
-                    assert relate(s, f, kind) is expected, (s, f, kind)
+                assert internally_approximates(s, f) == helpers.internal(ts, tf)
+                assert externally_approximates(s, f) == helpers.external(ts, tf, full)
+                for kind in ApproxKind:
+                    assert relate(s, f, kind) is helpers.relation(kind, ts, tf, full), (s, f, kind)

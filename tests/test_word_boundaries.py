@@ -3,16 +3,15 @@
 Values are stored as int masks, one bit per universe element, so sizes
 around 30, 64 and beyond are where a mask bug would hide; the
 hypothesis strategies stop at four elements.  Every check compares the
-library with the set-form oracles or with definitions written out here
-on the generated frozensets, never with the library's own masks.
+library with the set-form oracles or with the set-form references in
+helpers, on the generated frozensets, never with the library's own masks.
 """
 
 import random
-from fractions import Fraction
-from itertools import permutations
 
 import pytest
 
+import helpers
 from softsets import (
     ApproxKind,
     EmptyDenominator,
@@ -76,69 +75,23 @@ def build(universe, prefix, cols):
     return SoftSet(universe, names, spec), spec
 
 
-# set-form definitions, on the generated frozensets
-
-
-def internal(s, f):
-    sources = [w for w in s.values() if w]
-    return all(any(w <= v for w in sources) for v in f.values() if v)
-
-
-def external(s, f, x):
-    sources = [w for w in s.values() if w != x]
-    return all(any(w >= v for w in sources) for v in f.values() if v != x)
-
-
-def relation(kind, s, f, x):
-    i = (internal(s, f), internal(f, s))
-    e = (external(s, f, x), external(f, s, x))
-    return {
-        ApproxKind.INTERNAL: i[0],
-        ApproxKind.EXTERNAL: e[0],
-        ApproxKind.STRICT_INTERNAL: i[0] and not i[1],
-        ApproxKind.STRICT_EXTERNAL: e[0] and not e[1],
-        ApproxKind.INTERNAL_EQUIV: all(i),
-        ApproxKind.EXTERNAL_EQUIV: all(e),
-        ApproxKind.WEAK_EQUIV: all(i) and all(e),
-    }[kind]
-
-
-def minimal(spec):
-    fam = set(spec.values())
-    return {b for b in fam if b and not any(c and c < b for c in fam)}
-
-
-def maximal(spec, x):
-    fam = set(spec.values())
-    return {b for b in fam if b != x and not any(c != x and c > b for c in fam)}
-
-
-def best_similarity(universe, wide, narrow):
-    """Padded similarity maximized over orderings of the narrow columns."""
-    n, p = len(wide), len(narrow)
-    agree = [[sum((e in x) == (e in y) for e in universe) for y in narrow] for x in wide]
-    tail = sum(len(universe) - len(x) for x in wide[p:])
-    best = max(sum(agree[j][k] for j, k in enumerate(order)) for order in permutations(range(p)))
-    return Fraction(best + tail, len(universe) * n)
-
-
 def check_one(s, spec, universe):
     x = frozenset(universe)
     attrs = s.attributes
     assert complement(s) == oracle_complement(s)
     assert complement(s).values == {a: x - v for a, v in spec.items()}
     assert gravity(s) == {a: len(v) for a, v in spec.items()}
-    assert min_family(s) == minimal(spec)
-    assert max_family(s) == maximal(spec, x)
-    assert s.tau() == set(spec.values())
+    fam = set(spec.values())
+    assert min_family(s) == helpers.minimal(fam)
+    assert max_family(s) == helpers.maximal(fam, x)
+    assert s.tau() == fam
     assert is_permutation_basis(s) == (
         len(spec) == len(universe)
         and all(len(v) == 1 for v in spec.values())
         and len(set(spec.values())) == len(spec)
     )
-    fam = set(spec.values())
     assert tuple(antichain_profile(s)) == (
-        len(fam) == len(spec), fam <= minimal(spec), fam <= maximal(spec, x)
+        len(fam) == len(spec), fam <= helpers.minimal(fam), fam <= helpers.maximal(fam, x)
     )
     # canonical order: (column read from row 0 down, name), as tuples
     key = lambda a: (tuple(1 if e in spec[a] else 0 for e in universe), a)  # noqa: E731
@@ -165,13 +118,11 @@ def check_pair(s, sspec, f, fspec, universe, with_product=True):
     if with_product:
         assert product(s, f) == oracle_product(s, f)
     assert equal(s, f) == (sspec == fspec)
-    assert equivalent(s, f) == (set(sspec.values()) == set(fspec.values()))
+    tau_s, tau_f = set(sspec.values()), set(fspec.values())
+    assert equivalent(s, f) == (tau_s == tau_f)
     for kind in ApproxKind:
-        assert relate(s, f, kind) == relation(kind, sspec, fspec, x), kind
-    assert gravity_domination(s, f) == all(
-        any(w and w <= v and len(w) <= len(v) for w in sspec.values())
-        for v in fspec.values() if v
-    )
+        assert relate(s, f, kind) == helpers.relation(kind, tau_s, tau_f, x), kind
+    assert gravity_domination(s, f) == helpers.internal(tau_s, tau_f)
     a, b = list(sspec.values()), list(fspec.values())
     if not (a or b):
         with pytest.raises(EmptyDenominator):
@@ -183,7 +134,8 @@ def check_pair(s, sspec, f, fspec, universe, with_product=True):
             max_similarity_over_orderings(s, f)
         return
     wide, narrow = (a, b) if len(a) >= len(b) else (b, a)
-    assert max_similarity_over_orderings(s, f) == best_similarity(universe, wide, narrow)
+    best = helpers.best_similarity(len(universe), wide, narrow)
+    assert max_similarity_over_orderings(s, f) == best
 
 
 @pytest.mark.parametrize("m", SIZES, ids=[f"m={m}" for m in SIZES])
