@@ -23,12 +23,10 @@ def all_soft_sets(universe, max_width):
     return list(enumerate_soft_sets(universe, max_width))
 
 
-@st.composite
-def soft_sets(draw, max_universe: int = 4, min_width: int = 0, max_width: int = 4):
-    size = draw(st.integers(1, max_universe))
-    universe = tuple(f"u{i}" for i in range(size))
+def drawn_soft_set(draw, universe, prefix, min_width, max_width):
+    """A soft set over universe with a drawn width and drawn values."""
     width = draw(st.integers(min_width, max_width))
-    attributes = tuple(f"a{j}" for j in range(width))
+    attributes = tuple(f"{prefix}{j}" for j in range(width))
     values = {
         a: frozenset(e for e in universe if draw(st.booleans())) for a in attributes
     }
@@ -36,21 +34,16 @@ def soft_sets(draw, max_universe: int = 4, min_width: int = 0, max_width: int = 
 
 
 @st.composite
+def soft_sets(draw, max_universe: int = 4, min_width: int = 0, max_width: int = 4):
+    universe = tuple(f"u{i}" for i in range(draw(st.integers(1, max_universe))))
+    return drawn_soft_set(draw, universe, "a", min_width, max_width)
+
+
+@st.composite
 def soft_set_pairs(draw, max_universe: int = 4, min_width: int = 1, max_width: int = 4):
     """Two independently shaped soft sets over one shared universe."""
-    size = draw(st.integers(1, max_universe))
-    universe = tuple(f"u{i}" for i in range(size))
-
-    def one(prefix: str) -> SoftSet:
-        width = draw(st.integers(min_width, max_width))
-        attributes = tuple(f"{prefix}{j}" for j in range(width))
-        values = {
-            a: frozenset(e for e in universe if draw(st.booleans()))
-            for a in attributes
-        }
-        return SoftSet(universe, attributes, values)
-
-    return one("a"), one("b")
+    universe = tuple(f"u{i}" for i in range(draw(st.integers(1, max_universe))))
+    return tuple(drawn_soft_set(draw, universe, p, min_width, max_width) for p in "ab")
 
 
 # set-form references: plain functions over frozensets and families, which
