@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import permutations, starmap, zip_longest
 from operator import xor
 
-from .core import EmptyDenominator, SoftSet, SoftSetError, require_same_universe
-from .relations import internally_approximates, minimal_masks, rewrite_pairs
+from .core import (EmptyDenominator, SoftSet, SoftSetError, minimal_masks,
+                   require_same_universe)
 
 __all__ = [
     "AntichainProfile",
@@ -27,7 +27,6 @@ __all__ = [
     "antichain_profile",
     "fraction_str",
     "gravity",
-    "gravity_domination",
     "is_permutation_basis",
     "max_similarity_over_orderings",
     "probe_conjecture",
@@ -74,19 +73,6 @@ def similarity(s: SoftSet, f: SoftSet) -> Fraction:
 def gravity(s: SoftSet) -> dict[str, int]:
     """Column sums of the matrix, keyed by attribute: the size of each value."""
     return {a: mask.bit_count() for a, mask in s.masks.items()}
-
-
-def gravity_domination(s: SoftSet, f: SoftSet) -> bool:
-    """Pointwise gravity comparison through containment witnesses.
-
-    True when every attribute of f with a nonempty value has a witness
-    attribute of s whose nonempty value sits inside it; containment
-    forces the witness's gravity to stay at or below the target's, so
-    each column of f dominates some column of s even when the column
-    sum totals refuse to line up.  Since containment implies the gravity
-    bound, this is exactly internal approximation of f by s.
-    """
-    return internally_approximates(s, f)
 
 
 def max_similarity_over_orderings(s: SoftSet, f: SoftSet) -> Fraction:
@@ -170,6 +156,8 @@ def probe_conjecture(
     denominator, so probes with differs=True are routine; each one
     witnesses that the score is not invariant across equivalent pairs.
     """
+    from .relations import rewrite_pairs  # here, so the other commands need no relations
+
     pairs = rewrite_pairs(s, f, trials, seed, "trials")
     base = similarity(s, f)
     return [ConjectureProbe((s, f), pair, base, similarity(*pair)) for pair in pairs]

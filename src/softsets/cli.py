@@ -14,8 +14,9 @@ import argparse
 import json
 import sys
 from collections import namedtuple
+from importlib import import_module
+from operator import attrgetter
 
-from . import algebra, analysis, relations
 from .core import SoftSet, SoftSetError, soft_set_from_document, soft_set_to_document
 
 __all__ = ["main", "run"]
@@ -58,7 +59,12 @@ def _parse_name_array(text: str, flag: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# calls that need more than a library function
+# calls that need more than a library function; each imports what it uses,
+# so a command loads only the modules it calls
+
+def _echo(s: SoftSet) -> SoftSet:
+    return s
+
 
 def _from_matrix(rows, universe: str, attributes: str) -> SoftSet:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
@@ -69,18 +75,19 @@ def _from_matrix(rows, universe: str, attributes: str) -> SoftSet:
 
 
 def _relate(s: SoftSet, f: SoftSet, kind: str) -> tuple[str, bool]:
-    return kind, relations.relate(s, f, relations.ApproxKind(kind))
+    from .relations import ApproxKind, relate
+
+    return kind, relate(s, f, ApproxKind(kind))
 
 
 def _check(s: SoftSet, f: SoftSet, kind: str, trials: int, seed: int):
-    if kind in ("equal", "equivalent"):
-        relation = getattr(relations, kind)
-    else:
-        approx = relations.ApproxKind(kind)
-        relation = lambda s, f: relations.relate(s, f, approx)
-    return relations.check_relation_correctness(
-        relation, s, f, rewrite_count=trials, seed=seed, name=kind
-    )
+    from .relations import ApproxKind, check_relation_correctness, equal, equivalent, relate
+
+    relation = {"equal": equal, "equivalent": equivalent}.get(kind)
+    if relation is None:
+        approx = ApproxKind(kind)
+        relation = lambda s, f: relate(s, f, approx)
+    return check_relation_correctness(relation, s, f, rewrite_count=trials, seed=seed, name=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +113,9 @@ def _family(family):
 
 
 def _fraction(q):
-    text = analysis.fraction_str(q)
+    from .analysis import fraction_str
+
+    text = fraction_str(q)
     return [f"{text} ({float(q):.6g})"], {"similarity": text}
 
 
@@ -123,7 +132,7 @@ def _verdict(kind_result: tuple[str, bool]):
     return ["true" if result else "false"], {"kind": kind, "result": result}
 
 
-def _report(r: relations.CorrectnessReport):
+def _report(r):
     violations = [
         {"rewritten": v.rewritten, "original_result": v.original_result,
          "rewritten_result": v.rewritten_result}
@@ -140,11 +149,13 @@ def _report(r: relations.CorrectnessReport):
                    "violations": violations}
 
 
-def _probes(probes: list[analysis.ConjectureProbe]):
-    base = analysis.fraction_str(probes[0].original_similarity)
+def _probes(probes):
+    from .analysis import fraction_str
+
+    base = fraction_str(probes[0].original_similarity)
     rows = [
         {"rewritten": p.rewritten,
-         "rewritten_similarity": analysis.fraction_str(p.rewritten_similarity),
+         "rewritten_similarity": fraction_str(p.rewritten_similarity),
          "differs": p.differs}
         for p in probes
     ]
@@ -160,9 +171,10 @@ def _probes(probes: list[analysis.ConjectureProbe]):
 # the command table
 #
 # One row per subcommand.  operands holds one loader per FILE argument,
-# applied to its parsed JSON (from-matrix keeps the raw rows); call gets
-# the loaded operands plus each option as a keyword argument; emit turns
-# the result into (text lines, JSON value).
+# applied to its parsed JSON (from-matrix keeps the raw rows); call names
+# "module.attr" in the package, imported only when the command runs, and
+# gets the loaded operands plus each option as a keyword argument; emit
+# turns the result into (text lines, JSON value).
 
 Command = namedtuple("Command", "operands call emit help options", defaults=({},))
 
@@ -170,7 +182,8 @@ _ONE = (soft_set_from_document,)
 _TWO = _ONE * 2
 _OPERAND_HELP = {1: ["soft set JSON document, or - for stdin"],
                  2: ["left soft set document", "right soft set document"]}
-_KINDS = [kind.value for kind in relations.ApproxKind]
+_KINDS = ["internal", "external", "strict-internal", "strict-external",
+          "internal-equiv", "external-equiv", "weak-equiv"]  # ApproxKind's values
 _MATRIX_NAMES = {
     "universe": {"required": True,
                  "help": 'row names as a JSON array, e.g. \'["a","b","c"]\''},
@@ -179,36 +192,40 @@ _MATRIX_NAMES = {
 _SEED = {"type": int, "default": 0}
 
 _COMMANDS = {name: Command(*row) for name, row in {
-    "show": (_ONE, lambda s: s, _soft_set, "echo a validated soft set"),
-    "tau": (_ONE, SoftSet.tau, _family, "print the family of value subsets"),
-    "matrix": (_ONE, SoftSet.to_matrix, _matrix, "print the 0/1 matrix"),
-    "canonicalize": (_ONE, SoftSet.canonicalize, _soft_set, "sort attributes by column bits"),
-    "complement": (_ONE, algebra.complement, _soft_set, "value-wise complement"),
-    "gravity": (_ONE, analysis.gravity, _gravity, "per-attribute column sums"),
-    "min-family": (_ONE, relations.min_family, _family, "inclusion-minimal nonempty values"),
-    "max-family": (_ONE, relations.max_family, _family, "inclusion-maximal proper values"),
-    "from-matrix": ((lambda doc: doc,), _from_matrix, _soft_set,
+    "show": (_ONE, "cli._echo", _soft_set, "echo a validated soft set"),
+    "tau": (_ONE, "core.SoftSet.tau", _family, "print the family of value subsets"),
+    "matrix": (_ONE, "core.SoftSet.to_matrix", _matrix, "print the 0/1 matrix"),
+    "canonicalize": (_ONE, "core.SoftSet.canonicalize", _soft_set,
+                     "sort attributes by column bits"),
+    "complement": (_ONE, "algebra.complement", _soft_set, "value-wise complement"),
+    "gravity": (_ONE, "analysis.gravity", _gravity, "per-attribute column sums"),
+    "min-family": (_ONE, "relations.min_family", _family, "inclusion-minimal nonempty values"),
+    "max-family": (_ONE, "relations.max_family", _family, "inclusion-maximal proper values"),
+    "from-matrix": ((_echo,), "cli._from_matrix", _soft_set,
                     "rebuild a soft set from a matrix", _MATRIX_NAMES),
-    "union": (_TWO, algebra.union, _soft_set, "pairwise unions over A x B"),
-    "intersect": (_TWO, algebra.intersection, _soft_set, "pairwise intersections over A x B"),
-    "product": (_TWO, algebra.product, _soft_set, "cartesian product over X x X"),
-    "sim": (_TWO, analysis.similarity, _fraction, "exact similarity fraction"),
-    "sim-max": (_TWO, analysis.max_similarity_over_orderings, _fraction,
+    "union": (_TWO, "algebra.union", _soft_set, "pairwise unions over A x B"),
+    "intersect": (_TWO, "algebra.intersection", _soft_set, "pairwise intersections over A x B"),
+    "product": (_TWO, "algebra.product", _soft_set, "cartesian product over X x X"),
+    "sim": (_TWO, "analysis.similarity", _fraction, "exact similarity fraction"),
+    "sim-max": (_TWO, "analysis.max_similarity_over_orderings", _fraction,
                 "similarity maximized over column order"),
-    "relate": (_TWO, _relate, _verdict, "approximation/equivalence verdict",
+    "relate": (_TWO, "cli._relate", _verdict, "approximation/equivalence verdict",
                {"kind": {"required": True, "choices": _KINDS}}),
     "check-correctness": (
-        _TWO, _check, _report, "probe a relation with family-preserving rewrites",
+        _TWO, "cli._check", _report, "probe a relation with family-preserving rewrites",
         {"kind": {"required": True, "choices": ["equal", "equivalent"] + _KINDS},
          "trials": {"type": int, "default": 1000}, "seed": _SEED}),
     "probe-conjecture": (
-        _TWO, analysis.probe_conjecture, _probes,
+        _TWO, "analysis.probe_conjecture", _probes,
         "record similarity across family-preserving rewrites",
         {"trials": {"type": int, "default": 100}, "seed": _SEED}),
 }.items()}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for argv: only the named subparser when argv[0] is a
+    command, every subparser for help and for usage errors."""
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     shared = argparse.ArgumentParser(add_help=False)
     style = shared.add_mutually_exclusive_group()
     style.add_argument("--json", action="store_true", help="emit machine-readable JSON")
@@ -218,7 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Soft sets as binary matrices: operations, relations, similarity.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, command in _COMMANDS.items():
+    for name in names:
+        command = _COMMANDS[name]
         p = sub.add_parser(name, parents=[shared], help=command.help)
         for help_text in _OPERAND_HELP[len(command.operands)]:
             p.add_argument("files", action="append", metavar="FILE", help=help_text)
@@ -227,9 +245,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _resolve(call: str):
+    """The callable named "module.attr"; cli is this module, even run as __main__."""
+    module, _, attr = call.partition(".")
+    home = sys.modules[__name__] if module == "cli" else import_module(f".{module}", __package__)
+    return attrgetter(attr)(home)
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     command = _COMMANDS[args.command]
@@ -241,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
                 docs[path] = _read(path)
             operands.append(load(docs[path]))
         options = {option: getattr(args, option) for option in command.options}
-        lines, value = command.emit(command.call(*operands, **options))
+        lines, value = command.emit(_resolve(command.call)(*operands, **options))
     except SoftSetError as exc:
         print(f"softset: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import (SoftSet, SoftSetError, UnknownAttribute, _sorted, check_names,
-                   require_same_universe)
+                   minimal_masks, require_same_universe)
 
 __all__ = [
     "ApproxKind",
@@ -28,6 +28,7 @@ __all__ = [
     "equal",
     "equivalent",
     "externally_approximates",
+    "gravity_domination",
     "internally_approximates",
     "max_family",
     "min_family",
@@ -82,6 +83,19 @@ def externally_approximates(s: SoftSet, f: SoftSet) -> bool:
     return relate(s, f, ApproxKind.EXTERNAL)
 
 
+def gravity_domination(s: SoftSet, f: SoftSet) -> bool:
+    """Pointwise gravity comparison through containment witnesses.
+
+    True when every attribute of f with a nonempty value has a witness
+    attribute of s whose nonempty value sits inside it; containment
+    forces the witness's gravity to stay at or below the target's, so
+    each column of f dominates some column of s even when the column
+    sum totals refuse to line up.  Since containment implies the gravity
+    bound, this is exactly internal approximation of f by s.
+    """
+    return internally_approximates(s, f)
+
+
 # kind -> (families compared, True for complemented; the verdict wanted from f over s)
 _KINDS = {
     ApproxKind.INTERNAL: ((False,), None),
@@ -108,16 +122,6 @@ def relate(s: SoftSet, f: SoftSet, kind: ApproxKind) -> bool:
         if not _covers(a, b) or (back is not None and _covers(b, a) is not back):
             return False
     return True
-
-
-def minimal_masks(fam: set[int]) -> list[int]:
-    """Inclusion-minimal nonzero masks of fam.  A proper subset has fewer bits,
-    so in bit-count order each mask is tested only against those found."""
-    found: list[int] = []
-    for b in sorted(fam, key=int.bit_count):
-        if b and all(c | b != b for c in found):
-            found.append(b)
-    return found
 
 
 def min_family(s: SoftSet) -> frozenset[frozenset[str]]:

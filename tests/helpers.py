@@ -3,15 +3,27 @@ and the set-form references the library is checked against."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import softsets
 from softsets import ApproxKind, SoftSet
 from softsets.oracle import enumerate_soft_sets
 
 # the universes every exhaustive suite sweeps, smallest first
 UNIVERSES = (("e1",), ("e1", "e2"), ("e1", "e2", "e3"))
+
+
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports softsets from this tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(softsets.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, check=False)
 
 
 def fam(*subsets):

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import helpers
 import softsets
-from softsets import SoftSet, soft_set_to_document
-from softsets.cli import _COMMANDS, main
+from softsets import ApproxKind, SoftSet, soft_set_to_document
+from softsets.cli import _COMMANDS, _KINDS, _build_parser, main
 
 
 @pytest.fixture
@@ -359,6 +359,16 @@ EVERY_COMMAND = {
     "probe-conjecture": ("{f}", "{g}", "--trials", "10", "--seed", "2"),
 }
 
+# the package modules each command loads beyond softsets, softsets.cli and softsets.core
+FOOTPRINT = {
+    **dict.fromkeys(["show", "tau", "matrix", "canonicalize", "from-matrix"], set()),
+    **dict.fromkeys(["complement", "union", "intersect", "product"], {"softsets.algebra"}),
+    **dict.fromkeys(["gravity", "sim", "sim-max"], {"softsets.analysis"}),
+    **dict.fromkeys(["relate", "min-family", "max-family", "check-correctness"],
+                    {"softsets.relations"}),
+    "probe-conjecture": {"softsets.analysis", "softsets.relations"},
+}
+
 # sha256 over every command's default then --json stdout, in table order
 EVERY_COMMAND_SHA256 = (
     "4ea3de5c625187a11d6c3d6b66e7fda5de30fdaa37be2c9eab5ea3cfea464aff"
@@ -396,6 +406,53 @@ class TestEveryCommand:
             for style in ((), ("--json",)):
                 digest.update(run(capsys, *self.argv(name, operands), *style)[1].encode())
         assert digest.hexdigest() == EVERY_COMMAND_SHA256
+
+    @pytest.mark.parametrize("name", list(EVERY_COMMAND))
+    def test_loads_only_the_modules_it_calls(self, operands, name):
+        # a fresh interpreter per command, compared with what it loaded before the CLI
+        done = helpers.fresh_python(
+            "import contextlib, io, sys; before = set(sys.modules)\n"
+            "from softsets.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()): code = main()\n"
+            "print(code, *sorted(set(sys.modules) - before))",
+            *self.argv(name, operands))
+        code, *added = done.stdout.split()
+        assert code == "0" and done.stderr == ""
+        assert {m for m in added if m.startswith("softsets")} == {
+            "softsets", "softsets.cli", "softsets.core", *FOOTPRINT[name]}
+        # fractions serves the similarity scores, dataclasses the correctness report
+        assert ("fractions" in added) == ("softsets.analysis" in FOOTPRINT[name])
+        assert ("dataclasses" in added) == ("softsets.relations" in FOOTPRINT[name])
+
+
+def test_kind_choices_are_the_approximation_kinds():
+    assert _KINDS == [kind.value for kind in ApproxKind]
+
+
+def _parse(parser, argv):
+    """The parsed options or the exit code, then stdout and stderr, of parser on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, *tail] for name in _COMMANDS for tail in (
+        EVERY_COMMAND[name], ["--help"], [], ["--bogus", "x"], ["--json", "--pretty", "x"])),
+    [], ["--help"], ["bogus"], ["-h", "show"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_one_subparser_parses_as_the_full_parser(argv):
+    assert _parse(_build_parser(argv), argv) == _parse(_build_parser(), argv)
+
+
+def test_a_command_builds_only_its_own_subparser():
+    for name in _COMMANDS:
+        code, _, err = _parse(_build_parser([name]), ["explode"])
+        assert code == 2 and err.rstrip().endswith(f"(choose from {name!r})")
 
 
 class TestStrictBits:

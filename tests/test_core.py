@@ -1,6 +1,7 @@
 """Construction and validation, the matrix round trip, canonical form, the
 kept name sets, documents."""
 
+import importlib
 import random
 import re
 import sys
@@ -33,7 +34,7 @@ from softsets import (
 from helpers import fam
 
 
-class TestBitMatrix:
+class TestFromMatrix:
     """The 0/1 matrix is plain row tuples; SoftSet.from_matrix is the one
     place that checks one, with the width taken from the attributes."""
 
@@ -457,3 +458,27 @@ def test_package_exports_are_pinned():
         "soft_set_from_document", "soft_set_to_document", "union",
     ]
     assert all(hasattr(softsets, name) for name in softsets.__all__)
+
+
+def test_package_exports_are_the_modules_exports_in_order():
+    import softsets
+
+    modules = ("core", "algebra", "relations", "analysis", "oracle")
+    assert softsets.__all__ == [name for module in modules
+                                for name in importlib.import_module(f"softsets.{module}").__all__]
+
+
+def test_package_loads_its_modules_on_first_use():
+    # a fresh interpreter, since this one has loaded every module already
+    done = helpers.fresh_python("""
+import sys
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("softsets"))
+import softsets
+assert loaded() == ["softsets"], loaded()
+assert softsets.oracle.__file__.endswith("oracle.py")
+assert loaded() == ["softsets", "softsets.core", "softsets.oracle"], loaded()
+from softsets import *
+missing = [name for name in softsets.__all__ if name not in globals()]
+assert not missing, missing
+""")
+    assert done.returncode == 0, done.stderr

@@ -27,7 +27,6 @@ from softsets import (
     similarity,
     union,
 )
-from helpers import fam
 
 
 class TestOracleAgreement:
@@ -61,12 +60,6 @@ class TestOracleAgreement:
 
 
 class TestOracleValues:
-    def test_union_family(self, abc_f, abc_g):
-        got = oracle_union(abc_f, abc_g)
-        assert got.tau() == fam(
-            {"a", "b", "c"}, {"b", "c"}, {"a", "c"}, {"c"}, {"a"}
-        )
-
     def test_product_builds_pair_elements(self, abc_f, abc_g):
         got = oracle_product(abc_f, abc_g)
         assert got.value("(z,m)") == frozenset({"(a,a)"})
