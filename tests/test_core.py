@@ -34,7 +34,7 @@ from softsets import (
 from helpers import fam
 
 
-class TestFromMatrix:
+class TestBitMatrix:
     """The 0/1 matrix is plain row tuples; SoftSet.from_matrix is the one
     place that checks one, with the width taken from the attributes."""
 
