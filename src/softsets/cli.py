@@ -17,7 +17,8 @@ from collections import namedtuple
 from importlib import import_module
 from operator import attrgetter
 
-from .core import SoftSet, SoftSetError, soft_set_from_document, soft_set_to_document
+from .core import (SoftSet, SoftSetError, _name_array, soft_set_from_document,
+                   soft_set_to_document)
 
 __all__ = ["main", "run"]
 
@@ -52,10 +53,7 @@ def _read(path: str):
 
 
 def _parse_name_array(text: str, flag: str) -> list[str]:
-    names = _loads(text, flag, f"{flag} must be a JSON array of strings")
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise SoftSetError(f"{flag} must be a JSON array of strings")
-    return names
+    return _name_array(_loads(text, flag, f"{flag} is not a JSON array"), flag)
 
 
 # ---------------------------------------------------------------------------

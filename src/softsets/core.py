@@ -20,7 +20,7 @@ builds them, and play no part in equality or hashing.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from itertools import chain, compress
 from operator import countOf
 from types import MappingProxyType
@@ -33,7 +33,6 @@ __all__ = [
     "MissingValue",
     "SoftSet",
     "SoftSetError",
-    "TauFamily",
     "UniverseMismatch",
     "UnknownAttribute",
     "UnknownElement",
@@ -42,15 +41,12 @@ __all__ = [
     "soft_set_to_document",
 ]
 
-TauFamily = frozenset  # family of frozensets of element names
-
-
 class SoftSetError(ValueError):
     """Base class for every domain error raised by this package."""
 
 
 class DuplicateElement(SoftSetError):
-    """A universe, or a value in a document, lists the same element name twice."""
+    """A universe, or a value, lists the same element name twice."""
 
 
 class DuplicateAttribute(SoftSetError):
@@ -66,7 +62,8 @@ class UnknownElement(SoftSetError):
 
 
 class InvalidValue(SoftSetError):
-    """A value is no collection of hashable elements: a string, a mapping, None."""
+    """A value is no collection of hashable elements: a string, a mapping, an
+    iterator, None."""
 
 
 class MissingValue(SoftSetError):
@@ -119,6 +116,13 @@ def _sorted(names: Iterable) -> list:
         return sorted(names, key=str)
 
 
+def _name_array(names: object, what: str) -> list[str]:
+    """names, if it is a JSON array of strings."""
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise SoftSetError(f"{what} must be a JSON array of strings")
+    return names
+
+
 def check_names(universe: tuple, attributes: tuple) -> dict[str, int]:
     """Check both name tuples are hashable, without repeats; return name -> row index."""
     try:
@@ -145,7 +149,7 @@ class SoftSet:
     __slots__ = ("_universe", "_attributes", "_masks", "_names")
 
     def __init__(self, universe: Sequence[str], attributes: Sequence[str],
-                 values: Mapping[str, Iterable[str]]) -> None:
+                 values: Mapping[str, Collection[str]]) -> None:
         universe = tuple(universe)
         attributes = tuple(attributes)
         index = check_names(universe, attributes)
@@ -164,12 +168,16 @@ class SoftSet:
             try:
                 for element in subset:
                     row[index[element]] = 49  # ord("1")
+                mask = int(row[::-1] or b"0", 2)  # an empty universe gives no digits
+                if len(subset) != mask.bit_count():  # the mask counts each element once
+                    twice = _first_repeat(subset)
+                    raise DuplicateElement(f"value of {name!r} lists {twice!r} twice")
             except KeyError:
                 raise _stray(name, element, subset, index) from None
-            except TypeError as exc:  # not iterable, or an unhashable element
+            except TypeError as exc:  # not iterable, an unhashable element, or no length
                 raise InvalidValue(f"value of {name!r} must be a collection of "
                                    f"universe elements: {exc}") from None
-            masks[name] = int(row[::-1] or b"0", 2)  # an empty universe gives no digits
+            masks[name] = mask
         self._universe, self._attributes, self._masks = universe, attributes, masks
 
     @classmethod
@@ -355,28 +363,16 @@ def soft_set_to_document(s: SoftSet) -> dict:
 
 
 def soft_set_from_document(doc: object) -> SoftSet:
-    """Parse and validate the JSON soft set document shape."""
+    """The soft set of a parsed JSON document.  Only the JSON shape is checked
+    here; the values are checked by the constructor, as any other values."""
     if not isinstance(doc, dict):
         raise SoftSetError("soft set document must be a JSON object")
     missing = {"universe", "attributes", "values"} - set(doc)
     if missing:
         raise SoftSetError(f"soft set document lacks keys {sorted(missing)!r}")
-    universe = doc["universe"]
-    attributes = doc["attributes"]
+    universe = _name_array(doc["universe"], "'universe'")
+    attributes = _name_array(doc["attributes"], "'attributes'")
     values = doc["values"]
-    if not isinstance(universe, list) or not all(isinstance(e, str) for e in universe):
-        raise SoftSetError("'universe' must be an array of strings")
-    if not isinstance(attributes, list) or not all(isinstance(a, str) for a in attributes):
-        raise SoftSetError("'attributes' must be an array of strings")
     if not isinstance(values, dict):
         raise SoftSetError("'values' must be an object keyed by attribute")
-    for name, subset in values.items():
-        if not isinstance(subset, list) or not all(isinstance(e, str) for e in subset):
-            raise SoftSetError(f"value of {name!r} must be an array of strings")
-    s = SoftSet(universe, attributes, values)
-    # the masks count each element once, so a shorter mask means a repeat
-    for name, mask in s._masks.items():
-        if len(values[name]) != mask.bit_count():
-            twice = _first_repeat(values[name])
-            raise DuplicateElement(f"value of {name!r} lists {twice!r} twice")
-    return s
+    return SoftSet(universe, attributes, values)

@@ -19,11 +19,31 @@ from softsets.oracle import enumerate_soft_sets
 UNIVERSES = (("e1",), ("e1", "e2"), ("e1", "e2", "e3"))
 
 
-def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run code in a new interpreter that imports softsets from this tree."""
-    env = dict(os.environ, PYTHONPATH=str(Path(softsets.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=env, check=False)
+def fresh_python(*argv: str, text: bool = True, **env: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter on argv, with env added to the environment, that
+    imports softsets from this tree; output is str if text, else bytes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(softsets.__file__).parents[1]), **env)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=text,
+                          env=env, check=False)
+
+
+# arbitrary JSON values, small enough to draw by the hundred
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+
+
+def near(draw, value):
+    """A copy of value with one node, picked top down, swapped for arbitrary JSON."""
+    if not (value and isinstance(value, (list, dict))) or not draw(st.integers(0, 3)):
+        return draw(json_values)
+    value = value.copy()
+    key = draw(st.sampled_from(sorted(value) if isinstance(value, dict) else range(len(value))))
+    value[key] = near(draw, value[key])
+    return value
 
 
 def fam(*subsets):

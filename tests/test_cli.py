@@ -4,10 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -15,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-import softsets
 from softsets import ApproxKind, SoftSet, soft_set_to_document
 from softsets.cli import _COMMANDS, _KINDS, _build_parser, main
 
@@ -411,7 +407,7 @@ class TestEveryCommand:
     def test_loads_only_the_modules_it_calls(self, operands, name):
         # a fresh interpreter per command, compared with what it loaded before the CLI
         done = helpers.fresh_python(
-            "import contextlib, io, sys; before = set(sys.modules)\n"
+            "-c", "import contextlib, io, sys; before = set(sys.modules)\n"
             "from softsets.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()): code = main()\n"
             "print(code, *sorted(set(sys.modules) - before))",
@@ -474,11 +470,7 @@ def test_module_entry_point_runs_the_cli(capsys, f_path, g_path):
     argv = ["sim", f_path, g_path, "--json"]
     main(argv)
     expected = capsys.readouterr().out
-    env = dict(os.environ, PYTHONPATH=str(Path(softsets.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "softsets.cli", *argv],
-        capture_output=True, env=env, check=False,
-    )
+    done = helpers.fresh_python("-m", "softsets.cli", *argv, text=False)
     assert done.returncode == 0
     assert done.stdout.decode() == expected
 
@@ -487,14 +479,12 @@ def test_module_entry_point_runs_the_cli(capsys, f_path, g_path):
     "encoding, element", [("utf-8", "\ud800"), ("ascii", "\u00e9")], ids=["surrogate", "ascii"])
 def test_output_the_stream_cannot_encode_is_one_error_line(doc_path, encoding, element):
     path = doc_path("odd", SoftSet(("a", element), ("x",), {"x": {"a"}}))
-    env = dict(os.environ, PYTHONPATH=str(Path(softsets.__file__).parents[1]),
-               PYTHONIOENCODING=encoding)
-    command = [sys.executable, "-m", "softsets.cli", "show", path]
-    done = subprocess.run(command, capture_output=True, env=env, check=False)
+    command = ["-m", "softsets.cli", "show", path]
+    done = helpers.fresh_python(*command, text=False, PYTHONIOENCODING=encoding)
     assert done.returncode == 1 and done.stdout == b""
     assert done.stderr.decode().startswith("softset: cannot write output: ")
     assert len(done.stderr.splitlines()) == 1
-    as_json = subprocess.run([*command, "--json"], capture_output=True, env=env, check=False)
+    as_json = helpers.fresh_python(*command, "--json", text=False, PYTHONIOENCODING=encoding)
     assert as_json.returncode == 0 and as_json.stderr == b""
 
 
@@ -503,9 +493,7 @@ def test_cli_imports_only_the_standard_library():
     # preload third-party packages of its own
     script = ("import sys; before = set(sys.modules); import softsets.cli; "
               "print(*sorted(set(sys.modules) - before))")
-    env = dict(os.environ, PYTHONPATH=str(Path(softsets.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, check=True)
+    done = helpers.fresh_python("-c", script)
     added = done.stdout.split()
     assert "softsets.cli" in added
     roots = {name.partition(".")[0] for name in added}
@@ -515,24 +503,8 @@ def test_cli_imports_only_the_standard_library():
 # ---------------------------------------------------------------------------
 # fuzz: whatever the argv and the input bytes, main answers with an exit code
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
-                                                                max_size=4),
-    max_leaves=12,
-)
-_BYTES = st.binary(max_size=40) | _JSON.map(json.dumps).map(str.encode)
-_FLAG = st.text(max_size=6) | _JSON.map(json.dumps)
-
-
-def _near(draw, value):
-    """A copy of value with one node, picked top down, swapped for arbitrary JSON."""
-    if not (value and isinstance(value, (list, dict))) or not draw(st.integers(0, 3)):
-        return draw(_JSON)
-    value = value.copy()
-    key = draw(st.sampled_from(sorted(value) if isinstance(value, dict) else range(len(value))))
-    value[key] = _near(draw, value[key])
-    return value
+_BYTES = st.binary(max_size=40) | helpers.json_values.map(json.dumps).map(str.encode)
+_FLAG = st.text(max_size=6) | helpers.json_values.map(json.dumps)
 
 
 @st.composite
@@ -553,7 +525,7 @@ def _invocations(draw):
         pick = draw(st.integers(0, 3))
         if pick == 3:
             return draw(_BYTES)
-        return json.dumps(_near(draw, fitting) if pick else fitting).encode()
+        return json.dumps(helpers.near(draw, fitting) if pick else fitting).encode()
 
     argv, files = [name], {}
     for i in range(len(command.operands)):

@@ -8,7 +8,8 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from softsets import (
@@ -118,6 +119,10 @@ class TestSoftSetValidation:
         with pytest.raises(UnknownElement):
             SoftSet(("a",), ("x",), {"x": {"b"}})
 
+    def test_value_listing_an_element_twice(self):
+        with pytest.raises(DuplicateElement, match="^value of 'x' lists 'a' twice$"):
+            SoftSet(("a",), ("x",), {"x": ["a", "a"]})
+
     def test_string_value_is_not_split_into_characters(self):
         with pytest.raises(SoftSetError, match="not a string"):
             SoftSet(("a", "b"), ("x",), {"x": "ab"})
@@ -130,8 +135,10 @@ class TestSoftSetValidation:
             ([["a"]], "unhashable"),
             ({"a": 1}, "not a mapping"),
             (["zz", ["a"]], "unhashable"),
+            (iter(["a"]), "has no len"),
         ],
-        ids=["none", "int", "unhashable-element", "mapping", "stray-then-unhashable"],
+        ids=["none", "int", "unhashable-element", "mapping", "stray-then-unhashable",
+             "iterator"],
     )
     def test_value_that_is_no_collection_of_elements(self, value, message):
         with pytest.raises(InvalidValue, match=message):
@@ -421,6 +428,27 @@ class TestDocuments:
         with pytest.raises(SoftSetError):
             soft_set_from_document(doc)
 
+    # a document's values are checked by the constructor, as any other values
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            ({"x": "a"}, InvalidValue),
+            ({"x": None}, InvalidValue),
+            ({"x": {"a": 1}}, InvalidValue),
+            ({"x": [["a"]]}, InvalidValue),
+            ({"x": [1]}, UnknownElement),
+            ({"x": ["zz"]}, UnknownElement),
+            ({}, MissingValue),
+            ({"x": [], "y": []}, UnknownAttribute),
+        ],
+        ids=["string", "null", "object", "nested-array", "number", "stray", "missing",
+             "unknown-attribute"],
+    )
+    def test_malformed_value_raises_the_constructors_error(self, values, error):
+        doc = {"universe": ["a"], "attributes": ["x"], "values": values}
+        with pytest.raises(error):
+            soft_set_from_document(doc)
+
     def test_repeated_element_in_a_value_is_rejected(self):
         doc = {"universe": ["a", "b"], "attributes": ["x", "y"],
                "values": {"x": ["b"], "y": ["a", "b", "a"]}}
@@ -436,6 +464,46 @@ class TestDocuments:
         assert soft_set_from_document(soft_set_to_document(s)) == s
 
 
+@st.composite
+def _reads(draw):
+    """A reader and its arguments: drawn values for the constructor, near
+    misses of a fitting matrix for from_matrix and of a fitting document
+    for soft_set_from_document."""
+    good = draw(helpers.soft_sets(max_universe=3, max_width=3))
+    universe, attributes = good.universe, good.attributes
+    reader = draw(st.sampled_from(["constructor", "from_matrix", "document"]))
+    if reader == "from_matrix":
+        rows = [list(row) for row in good.to_matrix()]
+        return SoftSet.from_matrix, (universe, attributes, helpers.near(draw, rows))
+    if reader == "document":
+        return soft_set_from_document, (helpers.near(draw, soft_set_to_document(good)),)
+    elements = st.sampled_from(universe + ("zz", 1)) | helpers.json_values
+    lists = st.lists(elements, max_size=4)
+    value = st.one_of(helpers.json_values, lists, lists.map(tuple), lists.map(iter),
+                      st.frozensets(st.sampled_from(universe + ("zz", 1, (2, 3)))))
+    values = {a: draw(value) for a in attributes if draw(st.integers(0, 9))}
+    if not draw(st.integers(0, 9)):
+        values[draw(st.sampled_from(["w", 1]))] = draw(value)
+    return SoftSet, (universe, attributes, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reads())
+def test_readers_answer_with_a_soft_set_or_a_domain_error(read):
+    """Whatever the values, rows or document, SoftSet, SoftSet.from_matrix
+    and soft_set_from_document return a SoftSet or raise a SoftSetError.
+
+    Universe and attributes stay tuples of strings here: what a wrong
+    container type in those positions should raise (SoftSet(None, (), {})
+    raises a bare TypeError) is still open, as ROADMAP item 6."""
+    reader, args = read
+    try:
+        result = reader(*args)
+    except SoftSetError:
+        return
+    assert isinstance(result, SoftSet)
+
+
 def test_package_exports_are_pinned():
     import softsets
 
@@ -444,7 +512,7 @@ def test_package_exports_are_pinned():
         "ConjectureProbe", "CorrectnessReport", "DimensionMismatch",
         "DuplicateAttribute", "DuplicateElement", "EmptyDenominator", "InvalidValue",
         "MAX_ENUM_ATTRIBUTES", "MAX_ENUM_UNIVERSE", "MAX_PERMUTED_ATTRIBUTES",
-        "MissingValue", "RelationViolation", "SoftSet", "SoftSetError", "TauFamily",
+        "MissingValue", "RelationViolation", "SoftSet", "SoftSetError",
         "TooManyAttributes", "UniverseMismatch", "UnknownAttribute", "UnknownElement",
         "antichain_profile", "check_relation_correctness", "complement",
         "drop_attribute", "duplicate_attribute", "enumerate_soft_sets", "equal",
@@ -470,7 +538,7 @@ def test_package_exports_are_the_modules_exports_in_order():
 
 def test_package_loads_its_modules_on_first_use():
     # a fresh interpreter, since this one has loaded every module already
-    done = helpers.fresh_python("""
+    done = helpers.fresh_python("-c", """
 import sys
 loaded = lambda: sorted(m for m in sys.modules if m.startswith("softsets"))
 import softsets
