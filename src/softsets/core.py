@@ -62,8 +62,9 @@ class UnknownElement(SoftSetError):
 
 
 class InvalidValue(SoftSetError):
-    """A value is no collection of hashable elements: a string, a mapping, an
-    iterator, None."""
+    """A value is no collection of hashable elements (a string, a mapping, an
+    iterator, None), or the universe, attributes or value map has the wrong
+    container type."""
 
 
 class MissingValue(SoftSetError):
@@ -123,6 +124,15 @@ def _name_array(names: object, what: str) -> list[str]:
     return names
 
 
+def _name_tuple(names: object, what: str) -> tuple:
+    """names as a tuple, if it is a sequence and no str or bytes, which would
+    split into characters; a set would give an order that varies by run."""
+    # tuple and list come first: they pass without the slower check against the ABC
+    if isinstance(names, (str, bytes)) or not isinstance(names, (tuple, list, Sequence)):
+        raise InvalidValue(f"{what} must be a sequence of names, not {type(names).__name__}")
+    return tuple(names)
+
+
 def check_names(universe: tuple, attributes: tuple) -> dict[str, int]:
     """Check both name tuples are hashable, without repeats; return name -> row index."""
     try:
@@ -150,8 +160,11 @@ class SoftSet:
 
     def __init__(self, universe: Sequence[str], attributes: Sequence[str],
                  values: Mapping[str, Collection[str]]) -> None:
-        universe = tuple(universe)
-        attributes = tuple(attributes)
+        universe = _name_tuple(universe, "universe")
+        attributes = _name_tuple(attributes, "attributes")
+        if not isinstance(values, (dict, Mapping)):
+            raise InvalidValue(f"values must be a mapping of attribute to value, "
+                               f"not {type(values).__name__}")
         index = check_names(universe, attributes)
         extra = set(values) - set(attributes)
         if extra:
@@ -264,12 +277,13 @@ class SoftSet:
                     rows: Iterable[Iterable[int]]) -> "SoftSet":
         """Inverse of to_matrix for matching universe/attribute orders.
 
-        Entries must be the ints 0 and 1; bool and float are refused.  A bad
-        entry anywhere outranks ragged rows, which outrank the width, which
-        outranks the row count.
+        Entries must be the ints 0 and 1; bool and float are refused.  A name
+        container of the wrong type outranks a bad entry anywhere, which
+        outranks ragged rows, which outrank the width, which outranks the
+        row count.
         """
-        universe = tuple(universe)
-        attributes = tuple(attributes)
+        universe = _name_tuple(universe, "universe")
+        attributes = _name_tuple(attributes, "attributes")
         n = len(attributes)
         try:
             rows = [tuple(row) for row in rows]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -53,6 +54,16 @@ def fam(*subsets):
 
 def all_soft_sets(universe, max_width):
     return list(enumerate_soft_sets(universe, max_width))
+
+
+def one_per_family(universe):
+    """One soft set per family of subsets of universe, one attribute per member."""
+    subsets = [frozenset(c) for k in range(len(universe) + 1)
+               for c in combinations(universe, k)]
+    for bits in range(1 << len(subsets)):
+        members = [v for j, v in enumerate(subsets) if bits >> j & 1]
+        attributes = tuple(f"a{j}" for j in range(len(members)))
+        yield SoftSet(universe, attributes, dict(zip(attributes, members)))
 
 
 def drawn_soft_set(draw, universe, prefix, min_width, max_width):

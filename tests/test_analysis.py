@@ -25,7 +25,6 @@ from softsets import (
     equivalent,
     fraction_str,
     gravity,
-    gravity_domination,
     is_permutation_basis,
     max_similarity_over_orderings,
     oracle_similarity,
@@ -120,27 +119,6 @@ class TestGravity:
             for b in f.attributes:
                 if s.value(a) <= f.value(b):
                     assert gs[a] <= gf[b]
-
-
-class TestGravityDomination:
-    def test_mutual_internal_pair_dominates(self, grav_pair):
-        s, f = grav_pair
-        assert gravity_domination(s, f)
-
-    def test_reflexive_on_nonhollow_sets(self, abc_f):
-        assert gravity_domination(abc_f, abc_f)
-
-    def test_hollow_targets_are_skipped(self, abc_f):
-        hollow = SoftSet(abc_f.universe, ("h",), {"h": set()})
-        assert gravity_domination(abc_f, hollow)
-        assert not gravity_domination(hollow, abc_f)
-
-    def test_fails_without_a_contained_witness(self):
-        u = ("a", "b")
-        s = SoftSet(u, ("x",), {"x": {"a", "b"}})
-        f = SoftSet(u, ("y",), {"y": {"a"}})
-        assert not gravity_domination(s, f)
-        assert gravity_domination(f, s)
 
 
 class TestMaxSimilarityOverOrderings:

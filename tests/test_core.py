@@ -144,6 +144,26 @@ class TestSoftSetValidation:
         with pytest.raises(InvalidValue, match=message):
             SoftSet(("a", "b"), ("x",), {"x": value})
 
+    @pytest.mark.parametrize(
+        "read, args, message",
+        [
+            (SoftSet, (None, (), {}), "^universe must be a sequence of names, not NoneType$"),
+            (SoftSet, ({"a", "b"}, (), {}), "^universe .* not set$"),
+            (SoftSet, ("ab", (), {}), "^universe .* not str$"),
+            (SoftSet, (("a",), None, {}), "^attributes must be .* not NoneType$"),
+            (SoftSet, (("a",), b"xy", {}), "^attributes .* not bytes$"),
+            (SoftSet, (("a",), ("x",), ["x"]), "^values must be a mapping .* not list$"),
+            (SoftSet.from_matrix, (None, ("x",), []), "^universe .* not NoneType$"),
+            (SoftSet.from_matrix, (("a",), iter(["x"]), [[1]]), "^attributes .* list_iterator$"),
+        ],
+        ids=["universe-none", "universe-set", "universe-str", "attributes-none",
+             "attributes-bytes", "values-list", "matrix-universe-none",
+             "matrix-attributes-iterator"],
+    )
+    def test_containers_of_the_wrong_type_are_invalid(self, read, args, message):
+        with pytest.raises(InvalidValue, match=message):
+            read(*args)
+
     def test_strays_are_listed_in_their_own_order(self):
         with pytest.raises(UnknownElement, match=r"\[2, 10\]"):
             SoftSet(("a",), ("x",), {"x": [10, 2]})
@@ -468,15 +488,19 @@ class TestDocuments:
 def _reads(draw):
     """A reader and its arguments: drawn values for the constructor, near
     misses of a fitting matrix for from_matrix and of a fitting document
-    for soft_set_from_document."""
+    for soft_set_from_document; now and then arbitrary JSON in place of
+    the universe, the attributes or the value map."""
     good = draw(helpers.soft_sets(max_universe=3, max_width=3))
     universe, attributes = good.universe, good.attributes
     reader = draw(st.sampled_from(["constructor", "from_matrix", "document"]))
-    if reader == "from_matrix":
-        rows = [list(row) for row in good.to_matrix()]
-        return SoftSet.from_matrix, (universe, attributes, helpers.near(draw, rows))
     if reader == "document":
         return soft_set_from_document, (helpers.near(draw, soft_set_to_document(good)),)
+    def odd(fitting):
+        return draw(helpers.json_values) if not draw(st.integers(0, 9)) else fitting
+    names = odd(universe), odd(attributes)
+    if reader == "from_matrix":
+        rows = [list(row) for row in good.to_matrix()]
+        return SoftSet.from_matrix, (*names, helpers.near(draw, rows))
     elements = st.sampled_from(universe + ("zz", 1)) | helpers.json_values
     lists = st.lists(elements, max_size=4)
     value = st.one_of(helpers.json_values, lists, lists.map(tuple), lists.map(iter),
@@ -484,18 +508,15 @@ def _reads(draw):
     values = {a: draw(value) for a in attributes if draw(st.integers(0, 9))}
     if not draw(st.integers(0, 9)):
         values[draw(st.sampled_from(["w", 1]))] = draw(value)
-    return SoftSet, (universe, attributes, values)
+    return SoftSet, (*names, odd(values))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_reads())
 def test_readers_answer_with_a_soft_set_or_a_domain_error(read):
-    """Whatever the values, rows or document, SoftSet, SoftSet.from_matrix
-    and soft_set_from_document return a SoftSet or raise a SoftSetError.
-
-    Universe and attributes stay tuples of strings here: what a wrong
-    container type in those positions should raise (SoftSet(None, (), {})
-    raises a bare TypeError) is still open, as ROADMAP item 6."""
+    """Whatever the universe, attributes, values, rows or document, SoftSet,
+    SoftSet.from_matrix and soft_set_from_document return a SoftSet or
+    raise a SoftSetError."""
     reader, args = read
     try:
         result = reader(*args)

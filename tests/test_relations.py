@@ -96,54 +96,12 @@ class TestApproximations:
         assert externally_approximates(abc_f, full)
         assert not externally_approximates(full, abc_f)
 
-    def test_external_is_internal_after_complement(self):
-        # duality: X - v runs over supersets exactly when v runs over subsets
-        for universe in (("e1",), ("e1", "e2")):
-            sets = helpers.all_soft_sets(universe, 2)
-            for s in sets:
-                for f in sets:
-                    assert externally_approximates(s, f) == internally_approximates(
-                        complement(s), complement(f)
-                    )
-
-    def test_reflexive_and_strict_is_irreflexive(self):
-        for s in helpers.all_soft_sets(("e1", "e2"), 2):
-            assert relate(s, s, ApproxKind.INTERNAL)
-            assert relate(s, s, ApproxKind.EXTERNAL)
-            assert relate(s, s, ApproxKind.WEAK_EQUIV)
-            assert not relate(s, s, ApproxKind.STRICT_INTERNAL)
-            assert not relate(s, s, ApproxKind.STRICT_EXTERNAL)
-
     def test_weak_equivalence_is_the_conjunction(self, grav_pair):
         s, f = grav_pair
         both = relate(s, f, ApproxKind.INTERNAL_EQUIV) and relate(
             s, f, ApproxKind.EXTERNAL_EQUIV
         )
         assert relate(s, f, ApproxKind.WEAK_EQUIV) == both
-
-    @pytest.mark.parametrize("kind", [ApproxKind.INTERNAL, ApproxKind.EXTERNAL])
-    def test_transitive_over_small_enumeration(self, kind):
-        # preorder check: encode the relation as one bitmask per set and
-        # verify every reachable row stays inside the starting row
-        for universe, width in ((("e1", "e2"), 3), (("e1", "e2", "e3"), 2)):
-            sets = helpers.all_soft_sets(universe, width)
-            rows = []
-            for s in sets:
-                mask = 0
-                for j, f in enumerate(sets):
-                    if relate(s, f, kind):
-                        mask |= 1 << j
-                rows.append(mask)
-            for mask in rows:
-                reach = mask
-                j = 0
-                probe = mask
-                while probe:
-                    if probe & 1:
-                        reach |= rows[j]
-                    probe >>= 1
-                    j += 1
-                assert reach == mask
 
 
 class TestFamilies:
@@ -178,14 +136,6 @@ class TestFamilies:
         s, _ = two_cover_pair
         assert min_family(s) == s.tau()
         assert max_family(s) == s.tau()
-
-    def test_members_come_from_tau(self):
-        # equal to the set-form definitions, literally; every universe swept has
-        # empty and full values, the edge members a dual scan could keep or lose
-        for universe in helpers.UNIVERSES:
-            for s in helpers.all_soft_sets(universe, 3):
-                assert min_family(s) == helpers.minimal(s.tau())
-                assert max_family(s) == helpers.maximal(s.tau(), s.universe_set)
 
 
 class TestRewrites:
@@ -253,14 +203,6 @@ class TestRewrites:
         variant = random_equivalent_variant(s, random.Random(seed))
         assert equivalent(s, variant)
         assert variant.universe == s.universe
-
-    def test_random_variants_are_equivalent_across_seeds(self, abc_f, abc_g):
-        for seed in range(60):
-            rng = random.Random(seed)
-            for base in (abc_f, abc_g):
-                variant = random_equivalent_variant(base, rng)
-                assert equivalent(base, variant)
-                assert variant.universe == base.universe
 
     def test_random_variant_eventually_changes_labels(self, abc_f):
         rng = random.Random(7)
@@ -397,16 +339,37 @@ def test_fresh_names_are_free_after_a_rename():
     assert variant == by_helpers and not rng.script
 
 
-def test_every_kind_matches_its_set_form_definition():
-    # universes of 0 to 3 elements, widths 0 to 2: empty and full values on
-    # both sides, which the complemented masks of external approximation meet
-    for universe in ((),) + helpers.UNIVERSES:
-        sets = [SoftSet(universe, (), {})] + helpers.all_soft_sets(universe, 2)
-        full = frozenset(universe)
-        taus = [s.tau() for s in sets]
-        for s, ts in zip(sets, taus):
-            for f, tf in zip(sets, taus):
-                assert internally_approximates(s, f) == helpers.internal(ts, tf)
-                assert externally_approximates(s, f) == helpers.external(ts, tf, full)
+@pytest.mark.parametrize("m", range(4), ids=lambda m: f"m={m}")
+def test_every_family_pair(m):
+    # verdicts depend on tau alone, so one soft set per family covers every class, empty
+    # and full members included; all seven kinds, and the variants' verdicts, for m <= 2
+    universe = tuple(f"e{i}" for i in range(m))
+    full = frozenset(universe)
+    sets = list(helpers.one_per_family(universe))
+    assert len(sets) == 2 ** 2 ** m
+    taus = [s.tau() for s in sets]
+    duals = [complement(s) for s in sets]
+    rng = random.Random(m)
+    variants = [random_equivalent_variant(random_equivalent_variant(s, rng), rng) for s in sets]
+    rows = []  # per family, the families it approximates internally and externally, as bits
+    for s, ts, ds, v in zip(sets, taus, duals, variants):
+        assert equivalent(v, s)
+        assert min_family(s) == helpers.minimal(ts)
+        assert max_family(s) == helpers.maximal(ts, full)
+        for kind in ApproxKind:  # reflexive, and strict is irreflexive
+            assert relate(s, s, kind) is not kind.name.startswith("STRICT")
+        i_row = e_row = 0
+        for j, (f, tf, df, w) in enumerate(zip(sets, taus, duals, variants)):
+            i, e = internally_approximates(s, f), externally_approximates(s, f)
+            assert i == helpers.internal(ts, tf)
+            # X - v runs over supersets exactly when v runs over subsets
+            assert e == helpers.external(ts, tf, full) == internally_approximates(ds, df)
+            i_row, e_row = i_row | i << j, e_row | e << j
+            if m <= 2:
                 for kind in ApproxKind:
-                    assert relate(s, f, kind) is helpers.relation(kind, ts, tf, full), (s, f, kind)
+                    verdict = relate(s, f, kind)
+                    assert verdict is helpers.relation(kind, ts, tf, full) is relate(v, w, kind)
+        rows.append((i_row, e_row))
+    for kind_rows in zip(*rows):  # preorders: a row holds the row of each of its members
+        for row in kind_rows:
+            assert all(kind_rows[j] | row == row for j in range(len(rows)) if row >> j & 1)
