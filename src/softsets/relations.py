@@ -15,8 +15,8 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import (SoftSet, SoftSetError, UnknownAttribute, _sorted, check_names,
-                   minimal_masks, require_same_universe)
+from .core import (SoftSet, SoftSetError, UnknownAttribute, _name_tuple, _sorted,
+                   check_names, minimal_masks, require_same_universe)
 
 __all__ = [
     "ApproxKind",
@@ -193,7 +193,7 @@ def drop_attribute(s: SoftSet, attribute: str) -> SoftSet:
 
 def reorder_attributes(s: SoftSet, order: Sequence[str]) -> SoftSet:
     """Permute the attribute tuple; values travel with their names."""
-    order = tuple(order)
+    order = _name_tuple(order, "order")
     try:
         unfit = len(order) != len(s.attributes) or set(order) != set(s.attributes)
     except TypeError:  # an unhashable name is no attribute

@@ -1,13 +1,12 @@
 """The matrix-form operations beyond the worked instances of acceptance
-checks c02-c05: pair labels, commutation up to column order, De Morgan."""
+checks c02-c05: pair labels and commutation up to column order.  Both De
+Morgan laws live in test_analysis.py::test_every_small_pair."""
 
 import pytest
 
-import helpers
 from softsets import (
     SoftSet,
     UniverseMismatch,
-    complement,
     intersection,
     pair_name,
     product,
@@ -51,17 +50,3 @@ class TestAlgebraicIdentities:
     def test_pair_name_nests(self):
         assert pair_name("x", "y") == "(x,y)"
         assert pair_name(pair_name("x", "y"), "z") == "((x,y),z)"
-
-    def test_de_morgan_exactly(self):
-        # complement(union) and intersection(complements) agree cell for
-        # cell and label for label, not merely up to the family
-        for universe in helpers.UNIVERSES:
-            sets = helpers.all_soft_sets(universe, 2)
-            for s in sets:
-                for f in sets:
-                    assert complement(union(s, f)) == intersection(
-                        complement(s), complement(f)
-                    )
-                    assert complement(intersection(s, f)) == union(
-                        complement(s), complement(f)
-                    )

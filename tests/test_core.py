@@ -155,10 +155,14 @@ class TestSoftSetValidation:
             (SoftSet, (("a",), ("x",), ["x"]), "^values must be a mapping .* not list$"),
             (SoftSet.from_matrix, (None, ("x",), []), "^universe .* not NoneType$"),
             (SoftSet.from_matrix, (("a",), iter(["x"]), [[1]]), "^attributes .* list_iterator$"),
+            (reorder_attributes, (SoftSet((), ("x",), {"x": ()}), "x"), "^order .* not str$"),
+            (reorder_attributes, (SoftSet((), ("x",), {"x": ()}), {"x"}), "^order .* not set$"),
+            (reorder_attributes, (SoftSet((), ("x",), {"x": ()}), iter(["x"])),
+             "^order .* not list_iterator$"),
         ],
         ids=["universe-none", "universe-set", "universe-str", "attributes-none",
              "attributes-bytes", "values-list", "matrix-universe-none",
-             "matrix-attributes-iterator"],
+             "matrix-attributes-iterator", "order-str", "order-set", "order-iterator"],
     )
     def test_containers_of_the_wrong_type_are_invalid(self, read, args, message):
         with pytest.raises(InvalidValue, match=message):

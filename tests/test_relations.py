@@ -96,13 +96,6 @@ class TestApproximations:
         assert externally_approximates(abc_f, full)
         assert not externally_approximates(full, abc_f)
 
-    def test_weak_equivalence_is_the_conjunction(self, grav_pair):
-        s, f = grav_pair
-        both = relate(s, f, ApproxKind.INTERNAL_EQUIV) and relate(
-            s, f, ApproxKind.EXTERNAL_EQUIV
-        )
-        assert relate(s, f, ApproxKind.WEAK_EQUIV) == both
-
 
 class TestFamilies:
     def test_min_and_max_of_running_operand(self, abc_f):
