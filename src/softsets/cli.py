@@ -17,7 +17,7 @@ from collections import namedtuple
 from importlib import import_module
 from operator import attrgetter
 
-from .core import (SoftSet, SoftSetError, _name_array, soft_set_from_document,
+from .core import (SoftSet, SoftSetError, _first_repeat, soft_set_from_document,
                    soft_set_to_document)
 
 __all__ = ["main", "run"]
@@ -27,9 +27,17 @@ __all__ = ["main", "run"]
 # input
 
 def _loads(text: str, source: str, invalid: str):
-    """json.loads, with bad JSON and overdeep nesting as one-line errors."""
+    """json.loads, with bad JSON, overdeep nesting and a key repeated in one
+    object as one-line errors."""
+    def unique(pairs: list) -> dict:
+        found = dict(pairs)
+        if len(found) != len(pairs):
+            key = _first_repeat(name for name, _ in pairs)
+            raise SoftSetError(f"{source} repeats the key {key!r} in one JSON object")
+        return found
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except RecursionError:
         raise SoftSetError(f"{source} nests JSON too deeply to parse") from None
     except json.JSONDecodeError as exc:
@@ -52,10 +60,6 @@ def _read(path: str):
     return _loads(text, source, f"{source} is not valid JSON")
 
 
-def _parse_name_array(text: str, flag: str) -> list[str]:
-    return _name_array(_loads(text, flag, f"{flag} is not a JSON array"), flag)
-
-
 # ---------------------------------------------------------------------------
 # calls that need more than a library function; each imports what it uses,
 # so a command loads only the modules it calls
@@ -67,8 +71,8 @@ def _echo(s: SoftSet) -> SoftSet:
 def _from_matrix(rows, universe: str, attributes: str) -> SoftSet:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise SoftSetError("matrix input must be a JSON array of row arrays")
-    universe = _parse_name_array(universe, "--universe")
-    attributes = _parse_name_array(attributes, "--attributes")
+    universe = _loads(universe, "--universe", "--universe is not a JSON array")
+    attributes = _loads(attributes, "--attributes", "--attributes is not a JSON array")
     return SoftSet.from_matrix(universe, attributes, rows)
 
 

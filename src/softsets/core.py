@@ -62,9 +62,9 @@ class UnknownElement(SoftSetError):
 
 
 class InvalidValue(SoftSetError):
-    """A value is no collection of hashable elements (a string, a mapping, an
-    iterator, None), or the universe, attributes or value map has the wrong
-    container type."""
+    """A name that is no str; a universe, attributes or value map of the wrong
+    container type; a value that is no collection of hashable elements (a
+    string, a mapping, an iterator, None); or a mask outside the universe."""
 
 
 class MissingValue(SoftSetError):
@@ -109,40 +109,36 @@ def _stray(name, element, rest: Iterable, index: dict) -> SoftSetError:
     return UnknownElement(f"value of {name!r} contains {_sorted(stray)!r}, not in the universe")
 
 
-def _sorted(names: Iterable) -> list:
-    """Sorted, or by their text when names of mixed types refuse to compare."""
+def _sorted(items: Iterable) -> list:
+    """Strays or extra value-map keys, sorted; by their text if their types refuse to compare."""
     try:
-        return sorted(names)
+        return sorted(items)
     except TypeError:
-        return sorted(names, key=str)
+        return sorted(items, key=str)
 
 
-def _name_array(names: object, what: str) -> list[str]:
-    """names, if it is a JSON array of strings."""
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise SoftSetError(f"{what} must be a JSON array of strings")
-    return names
-
-
-def _name_tuple(names: object, what: str) -> tuple:
-    """names as a tuple, if it is a sequence and no str or bytes, which would
-    split into characters; a set would give an order that varies by run."""
+def _name_tuple(names: object, what: str) -> tuple[str, ...]:
+    """names as a tuple, if it is a sequence of str and no str or bytes, which would
+    split into characters, or set, whose order varies: the one check of names."""
     # tuple and list come first: they pass without the slower check against the ABC
     if isinstance(names, (str, bytes)) or not isinstance(names, (tuple, list, Sequence)):
         raise InvalidValue(f"{what} must be a sequence of names, not {type(names).__name__}")
-    return tuple(names)
-
-
-def check_names(universe: tuple, attributes: tuple) -> dict[str, int]:
-    """Check both name tuples are hashable, without repeats; return name -> row index."""
+    names = tuple(names)
     try:
-        index = dict(zip(universe, range(len(universe))))
-        if len(index) != len(universe):
-            raise DuplicateElement(f"universe element {_first_repeat(universe)!r} repeats")
-        if len(set(attributes)) != len(attributes):
-            raise DuplicateAttribute(f"attribute {_first_repeat(attributes)!r} repeats")
-    except TypeError as exc:
-        raise InvalidValue(f"element and attribute names must be hashable: {exc}") from None
+        "".join(names)  # one C pass that refuses any member that is no str
+    except TypeError:
+        bad = next(name for name in names if not isinstance(name, str))
+        raise InvalidValue(f"{what}: names must be strings, not {bad!r}") from None
+    return names
+
+
+def check_names(universe: tuple[str, ...], attributes: tuple[str, ...]) -> dict[str, int]:
+    """Check neither name tuple repeats a name; return name -> row index."""
+    index = dict(zip(universe, range(len(universe))))
+    if len(index) != len(universe):
+        raise DuplicateElement(f"universe element {_first_repeat(universe)!r} repeats")
+    if len(set(attributes)) != len(attributes):
+        raise DuplicateAttribute(f"attribute {_first_repeat(attributes)!r} repeats")
     return index
 
 
@@ -226,16 +222,19 @@ class SoftSet:
         The set of a value of this soft set is built on first request and
         kept, so later calls return the same object; the set of any other
         mask is built afresh each time and not kept.  A mask below 0 or
-        above full_mask raises InvalidValue.
+        above full_mask, or one that is no int, raises InvalidValue.
         """
         try:
             kept = self._names  # distinct value mask -> its set, or None until built
         except AttributeError:  # first request: neither __init__ nor _new pays
             kept = self._names = dict.fromkeys(self._masks.values())
-        found = kept.get(mask)
-        if found is None:
-            if not 0 <= mask <= self.full_mask:
-                raise InvalidValue(f"mask {mask} is outside 0..{self.full_mask}")
+        try:
+            found = kept.get(mask)
+        except TypeError:  # an unhashable mask, refused below
+            found = None
+        if found is None:  # only a miss pays for the check
+            if not (isinstance(mask, int) and 0 <= mask <= self.full_mask):
+                raise InvalidValue(f"mask {mask!r} is outside 0..{self.full_mask}")
             # copying a set sizes the table once, often half what growing it leaves
             found = frozenset(set(compress(self._universe, _column(mask, len(self._universe)))))
             if mask in kept:  # racing threads each keep an equal set, so no lock
@@ -277,8 +276,8 @@ class SoftSet:
                     rows: Iterable[Iterable[int]]) -> "SoftSet":
         """Inverse of to_matrix for matching universe/attribute orders.
 
-        Entries must be the ints 0 and 1; bool and float are refused.  A name
-        container of the wrong type outranks a bad entry anywhere, which
+        Entries must be the ints 0 and 1; bool and float are refused.  A bad
+        name or name container outranks a bad entry anywhere, which
         outranks ragged rows, which outrank the width, which outranks the
         row count.
         """
@@ -314,18 +313,14 @@ class SoftSet:
     def canonicalize(self) -> "SoftSet":
         """Reorder attributes into nondecreasing lexicographic column order.
 
-        Ties break on the attribute name, or on its text when names of
-        mixed types refuse to compare.  Universe order and the value
+        Ties break on the attribute name.  Universe order and the value
         map are untouched, so tau is preserved exactly; two soft sets
         with equal column multisets canonicalize to equal matrices.
         Columns compare as their 0/1 bytes read from row 0 down.
         """
         m = len(self._universe)
         masks = self._masks
-        try:
-            order = sorted(masks, key=lambda a: (_column(masks[a], m), a))
-        except TypeError:
-            order = sorted(masks, key=lambda a: (_column(masks[a], m), str(a)))
+        order = sorted(masks, key=lambda a: (_column(masks[a], m), a))
         return self._new(self._universe, tuple(order), map(masks.__getitem__, order))
 
     def __eq__(self, other: object) -> bool:
@@ -377,16 +372,11 @@ def soft_set_to_document(s: SoftSet) -> dict:
 
 
 def soft_set_from_document(doc: object) -> SoftSet:
-    """The soft set of a parsed JSON document.  Only the JSON shape is checked
-    here; the values are checked by the constructor, as any other values."""
+    """The soft set of a parsed JSON document: an object with the three keys,
+    whose names and values the constructor checks, as any others."""
     if not isinstance(doc, dict):
         raise SoftSetError("soft set document must be a JSON object")
     missing = {"universe", "attributes", "values"} - set(doc)
     if missing:
         raise SoftSetError(f"soft set document lacks keys {sorted(missing)!r}")
-    universe = _name_array(doc["universe"], "'universe'")
-    attributes = _name_array(doc["attributes"], "'attributes'")
-    values = doc["values"]
-    if not isinstance(values, dict):
-        raise SoftSetError("'values' must be an object keyed by attribute")
-    return SoftSet(universe, attributes, values)
+    return SoftSet(doc["universe"], doc["attributes"], doc["values"])

@@ -15,8 +15,8 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import (SoftSet, SoftSetError, UnknownAttribute, _name_tuple, _sorted,
-                   check_names, minimal_masks, require_same_universe)
+from .core import (SoftSet, SoftSetError, UnknownAttribute, _name_tuple, minimal_masks,
+                   require_same_universe)
 
 __all__ = [
     "ApproxKind",
@@ -163,8 +163,8 @@ def _reorder(names: tuple, masks: tuple, order: Sequence[int]) -> tuple:
 
 
 def rename_attributes(s: SoftSet, suffix: str) -> SoftSet:
-    """Append a suffix to every attribute name, rendered as f"{name}{suffix}";
-    a bijective relabeling, or DuplicateAttribute if two render alike (1, "1")."""
+    """Append a suffix, a str, to every attribute name: a bijective relabeling."""
+    _name_tuple((suffix,), "suffix")
     if not suffix:
         return s
     return SoftSet._new(s.universe, *_rename(s.attributes, s.masks.values(), suffix))
@@ -173,7 +173,7 @@ def rename_attributes(s: SoftSet, suffix: str) -> SoftSet:
 def duplicate_attribute(s: SoftSet, attribute: str, new_name: str) -> SoftSet:
     """Add new_name carrying the same value as attribute."""
     s.mask(attribute)  # UnknownAttribute unless s has it
-    check_names((), (new_name,))  # an unhashable new_name, refused as the constructor words it
+    _name_tuple((new_name,), "new_name")
     moved = _duplicate(s.attributes, tuple(s.masks.values()), attribute, new_name)
     return SoftSet._new(s.universe, *moved)
 
@@ -187,18 +187,14 @@ def drop_attribute(s: SoftSet, attribute: str) -> SoftSet:
     gone, masks = s.mask(attribute), tuple(s.masks.values())
     if masks.count(gone) < 2:
         raise SoftSetError(f"dropping {attribute!r} would remove "
-                           f"{_sorted(s.names(gone))!r} from the family")
+                           f"{sorted(s.names(gone))!r} from the family")
     return SoftSet._new(s.universe, *_drop(s.attributes, masks, s.attributes.index(attribute)))
 
 
 def reorder_attributes(s: SoftSet, order: Sequence[str]) -> SoftSet:
     """Permute the attribute tuple; values travel with their names."""
     order = _name_tuple(order, "order")
-    try:
-        unfit = len(order) != len(s.attributes) or set(order) != set(s.attributes)
-    except TypeError:  # an unhashable name is no attribute
-        unfit = True
-    if unfit:
+    if len(order) != len(s.attributes) or set(order) != set(s.attributes):
         raise UnknownAttribute(
             f"{list(order)!r} is not a permutation of {list(s.attributes)!r}"
         )

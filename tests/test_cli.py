@@ -284,8 +284,12 @@ class TestFailureModes:
         [
             (b"\xff\xfe{", "is not valid UTF-8"),
             (b"[" * 100000 + b"]" * 100000, "nests JSON too deeply"),
+            (b'{"universe": ["a"], "universe": ["b"], "attributes": [], "values": {}}',
+             "repeats the key 'universe' in one JSON object"),
+            (b'{"universe": ["a", "b"], "attributes": ["x"], "values": {"x": ["a"], "x": ["b"]}}',
+             "repeats the key 'x' in one JSON object"),
         ],
-        ids=["not-utf8", "deep-nesting"],
+        ids=["not-utf8", "deep-nesting", "repeated-key", "repeated-value-key"],
     )
     @pytest.mark.parametrize("via", ["file", "stdin"])
     def test_unreadable_input_is_a_one_line_error(
