@@ -27,8 +27,9 @@ __all__ = ["main", "run"]
 # input
 
 def _loads(text: str, source: str, invalid: str):
-    """json.loads, with bad JSON, overdeep nesting and a key repeated in one
-    object as one-line errors."""
+    """json.loads, with bad JSON (an integer past the interpreter's digit limit
+    included), overdeep nesting and a key repeated in one object as one-line
+    errors."""
     def unique(pairs: list) -> dict:
         found = dict(pairs)
         if len(found) != len(pairs):
@@ -40,7 +41,9 @@ def _loads(text: str, source: str, invalid: str):
         return json.loads(text, object_pairs_hook=unique)
     except RecursionError:
         raise SoftSetError(f"{source} nests JSON too deeply to parse") from None
-    except json.JSONDecodeError as exc:
+    except SoftSetError:  # a repeated key, already worded
+        raise
+    except ValueError as exc:  # JSONDecodeError, or int() refusing over 4300 digits
         raise SoftSetError(f"{invalid}: {exc}") from None
 
 

@@ -220,24 +220,23 @@ class SoftSet:
         """The universe elements whose bits are set in mask.
 
         The set of a value of this soft set is built on first request and
-        kept, so later calls return the same object; the set of any other
-        mask is built afresh each time and not kept.  A mask below 0 or
-        above full_mask, or one that is no int, raises InvalidValue.
+        kept, so later calls with that int return the same object; the set
+        of any other mask, or of a bool, is built afresh each time and not
+        kept.  A mask below 0 or above full_mask, or one that is no int,
+        raises InvalidValue.
         """
         try:
             kept = self._names  # distinct value mask -> its set, or None until built
         except AttributeError:  # first request: neither __init__ nor _new pays
             kept = self._names = dict.fromkeys(self._masks.values())
-        try:
-            found = kept.get(mask)
-        except TypeError:  # an unhashable mask, refused below
-            found = None
-        if found is None:  # only a miss pays for the check
+        exact = type(mask) is int  # 1.0 or True would hash as the kept mask 1
+        found = kept.get(mask) if exact else None
+        if found is None:  # only a miss pays for the range check
             if not (isinstance(mask, int) and 0 <= mask <= self.full_mask):
                 raise InvalidValue(f"mask {mask!r} is outside 0..{self.full_mask}")
             # copying a set sizes the table once, often half what growing it leaves
             found = frozenset(set(compress(self._universe, _column(mask, len(self._universe)))))
-            if mask in kept:  # racing threads each keep an equal set, so no lock
+            if exact and mask in kept:  # racing threads each keep an equal set, so no lock
                 kept[mask] = found
         return found
 

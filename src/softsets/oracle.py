@@ -1,4 +1,4 @@
-"""Naive set-level reference implementations plus a small-instance generator.
+"""Naive set-level reference implementations of the algebra and similarity.
 
 Everything here recomputes results straight from the value sets, with
 membership tests and set operations only.  No function in this module
@@ -9,30 +9,18 @@ rather than the same code running twice.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable
 from fractions import Fraction
-from itertools import product as cartesian
 
-from .core import EmptyDenominator, SoftSet, SoftSetError, require_same_universe
+from .core import EmptyDenominator, SoftSet, require_same_universe
 
 __all__ = [
-    "MAX_ENUM_ATTRIBUTES",
-    "MAX_ENUM_UNIVERSE",
-    "BoundExceeded",
-    "enumerate_soft_sets",
     "oracle_complement",
     "oracle_intersection",
     "oracle_product",
     "oracle_similarity",
     "oracle_union",
 ]
-
-MAX_ENUM_UNIVERSE = 4
-MAX_ENUM_ATTRIBUTES = 3
-
-
-class BoundExceeded(SoftSetError):
-    """The exhaustive generator is capped at desk scale on purpose."""
 
 
 def oracle_complement(s: SoftSet) -> SoftSet:
@@ -91,31 +79,3 @@ def oracle_similarity(s: SoftSet, f: SoftSet) -> Fraction:
                 agree += 1
     return Fraction(agree, m * n)
 
-
-def enumerate_soft_sets(
-    universe: Sequence[str], max_attributes: int
-) -> Iterator[SoftSet]:
-    """Every soft set over the universe with 1..max_attributes attributes.
-
-    Deterministic order: widths ascending; within a width, value tuples
-    in mixed-radix counting order over subsets (subset masks count up,
-    bit i is element i, last attribute varies fastest).  Attribute
-    names are a1, a2, ...; counts follow sum over k of (2^|X|)^k.
-    """
-    universe = tuple(universe)
-    if len(universe) > MAX_ENUM_UNIVERSE:
-        raise BoundExceeded(
-            f"universe of {len(universe)} exceeds the enumeration cap of {MAX_ENUM_UNIVERSE}"
-        )
-    if not 1 <= max_attributes <= MAX_ENUM_ATTRIBUTES:
-        raise BoundExceeded(
-            f"max_attributes must be between 1 and {MAX_ENUM_ATTRIBUTES}"
-        )
-    subsets = [
-        frozenset(e for i, e in enumerate(universe) if mask >> i & 1)
-        for mask in range(1 << len(universe))
-    ]
-    for width in range(1, max_attributes + 1):
-        names = tuple(f"a{k}" for k in range(1, width + 1))
-        for combo in cartesian(subsets, repeat=width):
-            yield SoftSet(universe, names, dict(zip(names, combo)))

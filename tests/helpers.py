@@ -1,5 +1,6 @@
-"""Shared test machinery: family sugar, exhaustive universes, strategies,
-and the set-form references the library is checked against."""
+"""Shared test machinery: family sugar, exhaustive universes and the
+generators that sweep them, strategies, and the set-form references the
+library is checked against."""
 
 from __future__ import annotations
 
@@ -7,14 +8,13 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 from hypothesis import strategies as st
 
 import softsets
 from softsets import ApproxKind, SoftSet
-from softsets.oracle import enumerate_soft_sets
 
 # the universes every exhaustive suite sweeps, smallest first
 UNIVERSES = (("e1",), ("e1", "e2"), ("e1", "e2", "e3"))
@@ -53,7 +53,17 @@ def fam(*subsets):
 
 
 def all_soft_sets(universe, max_width):
-    return list(enumerate_soft_sets(universe, max_width))
+    """Every soft set over universe of width 1 to max_width, widths ascending.
+    Within a width the value tuples count up over subset masks (bit i is
+    universe[i]), the last attribute fastest; attributes are a1, a2, ..."""
+    subsets = [frozenset(e for i, e in enumerate(universe) if mask >> i & 1)
+               for mask in range(1 << len(universe))]
+    sets = []
+    for width in range(1, max_width + 1):
+        names = tuple(f"a{k}" for k in range(1, width + 1))
+        sets += (SoftSet(universe, names, dict(zip(names, values)))
+                 for values in product(subsets, repeat=width))
+    return sets
 
 
 def one_per_family(universe):

@@ -20,7 +20,6 @@ from softsets import (
     check_relation_correctness,
     complement,
     duplicate_attribute,
-    enumerate_soft_sets,
     equivalent,
     externally_approximates,
     gravity,
@@ -326,7 +325,7 @@ def test_c11_rewrites_move_similarity_but_not_family_relations(abc_f, abc_g):
 
 def test_c12_cli_round_trip_and_similarity(tmp_path, capsys, sim_pair):
     count = 0
-    for s in islice(enumerate_soft_sets(("e1", "e2", "e3"), 2), 50):
+    for s in islice(helpers.all_soft_sets(("e1", "e2", "e3"), 2), 50):
         document = json.dumps(soft_set_to_document(s))
         source = tmp_path / f"set{count}.json"
         source.write_text(document)

@@ -143,11 +143,12 @@ class TestOperations:
     def test_from_matrix_validates_flags(self, capsys, tmp_path):
         mpath = tmp_path / "m.json"
         mpath.write_text("[[1]]")
-        code, _, err = run(
-            capsys, "from-matrix", str(mpath), "--universe", "nope", "--attributes", "[]"
-        )
-        assert code == 1
-        assert "JSON array" in err
+        # an integer past the interpreter's 4300-digit limit is bad JSON like any other
+        for universe, attributes in (("nope", "[]"), ('["a"]', "[" + "1" * 5000 + "]")):
+            code, out, err = run(capsys, "from-matrix", str(mpath),
+                                 "--universe", universe, "--attributes", attributes)
+            assert (code, out) == (1, "") and err.count("\n") == 1
+            assert err.startswith("softset: --") and "is not a JSON array: " in err
 
 
 class TestVerdictsAndReports:
@@ -284,12 +285,13 @@ class TestFailureModes:
         [
             (b"\xff\xfe{", "is not valid UTF-8"),
             (b"[" * 100000 + b"]" * 100000, "nests JSON too deeply"),
+            (b"[" + b"1" * 5000 + b"]", "is not valid JSON: Exceeds the limit"),
             (b'{"universe": ["a"], "universe": ["b"], "attributes": [], "values": {}}',
              "repeats the key 'universe' in one JSON object"),
             (b'{"universe": ["a", "b"], "attributes": ["x"], "values": {"x": ["a"], "x": ["b"]}}',
              "repeats the key 'x' in one JSON object"),
         ],
-        ids=["not-utf8", "deep-nesting", "repeated-key", "repeated-value-key"],
+        ids=["not-utf8", "deep-nesting", "long-integer", "repeated-key", "repeated-value-key"],
     )
     @pytest.mark.parametrize("via", ["file", "stdin"])
     def test_unreadable_input_is_a_one_line_error(
@@ -507,7 +509,9 @@ def test_cli_imports_only_the_standard_library():
 # ---------------------------------------------------------------------------
 # fuzz: whatever the argv and the input bytes, main answers with an exit code
 
-_BYTES = st.binary(max_size=40) | helpers.json_values.map(json.dumps).map(str.encode)
+# now and then an integer past the interpreter's 4300-digit limit on int()
+_BYTES = (st.binary(max_size=40) | helpers.json_values.map(json.dumps).map(str.encode)
+          | st.sampled_from([b"1" * 4301, b"[[" + b"9" * 5000 + b"]]"]))
 _FLAG = st.text(max_size=6) | helpers.json_values.map(json.dumps)
 
 

@@ -23,13 +23,16 @@ from softsets import (
     equivalent,
     externally_approximates,
     internally_approximates,
+    intersection,
     max_family,
     min_family,
     probe_conjecture,
+    product,
     random_equivalent_variant,
     relate,
     rename_attributes,
     reorder_attributes,
+    union,
 )
 from helpers import fam
 
@@ -310,9 +313,12 @@ def test_fresh_names_are_free_after_a_rename():
 @pytest.mark.parametrize("m", range(4), ids=lambda m: f"m={m}")
 def test_every_family_pair(m):
     # verdicts depend on tau alone, so one soft set per family covers every class, empty
-    # and full members included; all seven kinds, and the variants' verdicts, for m <= 2
+    # and full members included; all seven kinds, the variants' verdicts, and the tau
+    # of each binary operation, for m <= 2
     universe = tuple(f"e{i}" for i in range(m))
     full = frozenset(universe)
+    laws = ((union, frozenset.union), (intersection, frozenset.intersection),
+            (product, lambda a, b: frozenset(f"({x},{y})" for x in a for y in b)))
     sets = list(helpers.one_per_family(universe))
     assert len(sets) == 2 ** 2 ** m
     taus = [s.tau() for s in sets]
@@ -324,6 +330,8 @@ def test_every_family_pair(m):
         assert equivalent(v, s)
         assert min_family(s) == helpers.minimal(ts)
         assert max_family(s) == helpers.maximal(ts, full)
+        # operations are defined through tau as well: complement maps v to X - v
+        assert ds.tau() == {full - a for a in ts} == complement(v).tau()
         for kind in ApproxKind:  # reflexive, and strict is irreflexive
             assert relate(s, s, kind) is not kind.name.startswith("STRICT")
         i_row = e_row = 0
@@ -337,6 +345,8 @@ def test_every_family_pair(m):
                 for kind in ApproxKind:
                     verdict = relate(s, f, kind)
                     assert verdict is helpers.relation(kind, ts, tf, full) is relate(v, w, kind)
+                for op, law in laws:
+                    assert op(s, f).tau() == {law(a, b) for a in ts for b in tf} == op(v, w).tau()
         rows.append((i_row, e_row))
     for kind_rows in zip(*rows):  # preorders: a row holds the row of each of its members
         for row in kind_rows:
