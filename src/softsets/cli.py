@@ -17,8 +17,8 @@ from collections import namedtuple
 from importlib import import_module
 from operator import attrgetter
 
-from .core import (SoftSet, SoftSetError, _first_repeat, soft_set_from_document,
-                   soft_set_to_document)
+from .core import (ApproxKind, SoftSet, SoftSetError, _first_repeat,
+                   soft_set_from_document, soft_set_to_document)
 
 __all__ = ["main", "run"]
 
@@ -80,13 +80,13 @@ def _from_matrix(rows, universe: str, attributes: str) -> SoftSet:
 
 
 def _relate(s: SoftSet, f: SoftSet, kind: str) -> tuple[str, bool]:
-    from .relations import ApproxKind, relate
+    from .relations import relate
 
     return kind, relate(s, f, ApproxKind(kind))
 
 
 def _check(s: SoftSet, f: SoftSet, kind: str, trials: int, seed: int):
-    from .relations import ApproxKind, check_relation_correctness, equal, equivalent, relate
+    from .relations import check_relation_correctness, equal, equivalent, relate
 
     relation = {"equal": equal, "equivalent": equivalent}.get(kind)
     if relation is None:
@@ -187,8 +187,7 @@ _ONE = (soft_set_from_document,)
 _TWO = _ONE * 2
 _OPERAND_HELP = {1: ["soft set JSON document, or - for stdin"],
                  2: ["left soft set document", "right soft set document"]}
-_KINDS = ["internal", "external", "strict-internal", "strict-external",
-          "internal-equiv", "external-equiv", "weak-equiv"]  # ApproxKind's values
+_KINDS = [kind.value for kind in ApproxKind]
 _MATRIX_NAMES = {
     "universe": {"required": True,
                  "help": 'row names as a JSON array, e.g. \'["a","b","c"]\''},

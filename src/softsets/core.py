@@ -16,16 +16,22 @@ families share their member sets; sets for other masks are not kept.
 Everything here is an immutable value after construction and safe to
 share across threads: the kept sets are a cache, equal whichever thread
 builds them, and play no part in equality or hashing.
+
+The package's errors and `ApproxKind`, the seven approximation kinds,
+live here too: the set-form oracles and the CLI's --kind choices name
+them, and this way need no module but core.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Mapping, Sequence
+from enum import Enum
 from itertools import chain, compress
 from operator import countOf
 from types import MappingProxyType
 
 __all__ = [
+    "ApproxKind",
     "DimensionMismatch",
     "DuplicateAttribute",
     "DuplicateElement",
@@ -84,6 +90,16 @@ class EmptyDenominator(SoftSetError):
     Exported with similarity by analysis; here so the oracles need only core."""
 
 
+class ApproxKind(Enum):
+    INTERNAL = "internal"
+    EXTERNAL = "external"
+    STRICT_INTERNAL = "strict-internal"
+    STRICT_EXTERNAL = "strict-external"
+    INTERNAL_EQUIV = "internal-equiv"
+    EXTERNAL_EQUIV = "external-equiv"
+    WEAK_EQUIV = "weak-equiv"
+
+
 # between "0"/"1" text and 0/1 bytes, one byte per matrix cell
 _TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
@@ -106,15 +122,29 @@ def _stray(name, element, rest: Iterable, index: dict) -> SoftSetError:
         stray = {element, *rest} - index.keys()
     except TypeError as exc:
         return InvalidValue(f"value of {name!r} must be a collection of universe elements: {exc}")
-    return UnknownElement(f"value of {name!r} contains {_sorted(stray)!r}, not in the universe")
+    return UnknownElement(f"value of {name!r} contains {_repr(_sorted(stray))}, "
+                          "not in the universe")
+
+
+def _repr(value: object) -> str:
+    """repr(value) for an error message about caller data, or a placeholder if
+    repr refuses it, as it refuses an int past the interpreter's digit limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<unprintable {type(value).__name__}>"
 
 
 def _sorted(items: Iterable) -> list:
-    """Strays or extra value-map keys, sorted; by their text if their types refuse to compare."""
+    """Strays or extra value-map keys, sorted; by their text if their types refuse to compare,
+    and unsorted if str refuses one, as it does an int past the digit limit."""
     try:
         return sorted(items)
     except TypeError:
-        return sorted(items, key=str)
+        try:
+            return sorted(items, key=str)
+        except ValueError:
+            return list(items)
 
 
 def _name_tuple(names: object, what: str) -> tuple[str, ...]:
@@ -128,7 +158,7 @@ def _name_tuple(names: object, what: str) -> tuple[str, ...]:
         "".join(names)  # one C pass that refuses any member that is no str
     except TypeError:
         bad = next(name for name in names if not isinstance(name, str))
-        raise InvalidValue(f"{what}: names must be strings, not {bad!r}") from None
+        raise InvalidValue(f"{what}: names must be strings, not {_repr(bad)}") from None
     return names
 
 
@@ -164,7 +194,8 @@ class SoftSet:
         index = check_names(universe, attributes)
         extra = set(values) - set(attributes)
         if extra:
-            raise UnknownAttribute(f"values given for unknown attributes {_sorted(extra)!r}")
+            raise UnknownAttribute("values given for unknown attributes "
+                                   f"{_repr(_sorted(extra))}")
         masks = {}
         for name in attributes:
             if name not in values:
@@ -214,7 +245,7 @@ class SoftSet:
         try:
             return self._masks[attribute]
         except (KeyError, TypeError):  # TypeError: an unhashable name
-            raise UnknownAttribute(f"no attribute {attribute!r}") from None
+            raise UnknownAttribute(f"no attribute {_repr(attribute)}") from None
 
     def names(self, mask: int) -> frozenset[str]:
         """The universe elements whose bits are set in mask.
@@ -233,7 +264,7 @@ class SoftSet:
         found = kept.get(mask) if exact else None
         if found is None:  # only a miss pays for the range check
             if not (isinstance(mask, int) and 0 <= mask <= self.full_mask):
-                raise InvalidValue(f"mask {mask!r} is outside 0..{self.full_mask}")
+                raise InvalidValue(f"mask {_repr(mask)} is outside 0..{_repr(self.full_mask)}")
             # copying a set sizes the table once, often half what growing it leaves
             found = frozenset(set(compress(self._universe, _column(mask, len(self._universe)))))
             if exact and mask in kept:  # racing threads each keep an equal set, so no lock
@@ -296,7 +327,7 @@ class SoftSet:
         if bad:  # report the first bad entry in row-major order
             cells = chain.from_iterable(rows)
             entry = next(e for e in cells if type(e) is not int or e not in (0, 1))
-            raise SoftSetError(f"matrix entries must be 0 or 1, got {entry!r}")
+            raise SoftSetError(f"matrix entries must be 0 or 1, got {_repr(entry)}")
         width = len(rows[0]) if rows else n
         for row in rows:
             if len(row) != width:

@@ -13,13 +13,11 @@ import random
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from enum import Enum
 
-from .core import (SoftSet, SoftSetError, UnknownAttribute, _name_tuple, minimal_masks,
-                   require_same_universe)
+from .core import (ApproxKind, SoftSet, SoftSetError, UnknownAttribute, _name_tuple, _repr,
+                   minimal_masks, require_same_universe)
 
 __all__ = [
-    "ApproxKind",
     "CorrectnessReport",
     "RelationViolation",
     "check_relation_correctness",
@@ -37,16 +35,6 @@ __all__ = [
     "rename_attributes",
     "reorder_attributes",
 ]
-
-
-class ApproxKind(Enum):
-    INTERNAL = "internal"
-    EXTERNAL = "external"
-    STRICT_INTERNAL = "strict-internal"
-    STRICT_EXTERNAL = "strict-external"
-    INTERNAL_EQUIV = "internal-equiv"
-    EXTERNAL_EQUIV = "external-equiv"
-    WEAK_EQUIV = "weak-equiv"
 
 
 def equal(s: SoftSet, t: SoftSet) -> bool:
@@ -113,7 +101,7 @@ def relate(s: SoftSet, f: SoftSet, kind: ApproxKind) -> bool:
     try:
         families, back = _KINDS[kind]
     except (KeyError, TypeError):
-        raise SoftSetError(f"unknown approximation kind {kind!r}") from None
+        raise SoftSetError(f"unknown approximation kind {_repr(kind)}") from None
     a, b = set(s.masks.values()), set(f.masks.values())
     for complemented in families:
         if complemented:  # v inside w iff X-w inside X-v; v full iff X-v empty

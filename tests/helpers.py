@@ -1,20 +1,20 @@
 """Shared test machinery: family sugar, exhaustive universes and the
-generators that sweep them, strategies, and the set-form references the
-library is checked against."""
+generators that sweep them, strategies, and a fresh interpreter.  The
+set-form references the library is checked against live in
+softsets.oracle."""
 
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
 from hypothesis import strategies as st
 
 import softsets
-from softsets import ApproxKind, SoftSet
+from softsets import SoftSet
 
 # the universes every exhaustive suite sweeps, smallest first
 UNIVERSES = (("e1",), ("e1", "e2"), ("e1", "e2", "e3"))
@@ -97,55 +97,3 @@ def soft_set_pairs(draw, max_universe: int = 4, min_width: int = 1, max_width: i
     """Two independently shaped soft sets over one shared universe."""
     universe = tuple(f"u{i}" for i in range(draw(st.integers(1, max_universe))))
     return tuple(drawn_soft_set(draw, universe, p, min_width, max_width) for p in "ab")
-
-
-# set-form references: plain functions over frozensets and families, which
-# never call a SoftSet method or read a mask
-
-
-def internal(tau_s, tau_f):
-    """Every nonempty member of tau_f contains a nonempty member of tau_s."""
-    return all(any(w and w <= v for w in tau_s) for v in tau_f if v)
-
-
-def external(tau_s, tau_f, full):
-    """Every non-full member of tau_f sits inside a non-full member of tau_s."""
-    return all(any(w != full and v <= w for w in tau_s) for v in tau_f if v != full)
-
-
-def relation(kind, tau_s, tau_f, full):
-    """Each of the seven kinds spelled out in internal and external."""
-    i, i_back = internal(tau_s, tau_f), internal(tau_f, tau_s)
-    e, e_back = external(tau_s, tau_f, full), external(tau_f, tau_s, full)
-    return {
-        ApproxKind.INTERNAL: i,
-        ApproxKind.EXTERNAL: e,
-        ApproxKind.STRICT_INTERNAL: i and not i_back,
-        ApproxKind.STRICT_EXTERNAL: e and not e_back,
-        ApproxKind.INTERNAL_EQUIV: i and i_back,
-        ApproxKind.EXTERNAL_EQUIV: e and e_back,
-        ApproxKind.WEAK_EQUIV: i and i_back and e and e_back,
-    }[kind]
-
-
-def minimal(family):
-    return {b for b in family if b and not any(c and c < b for c in family)}
-
-
-def maximal(family, full):
-    return {b for b in family if b != full and not any(c != full and c > b for c in family)}
-
-
-def best_similarity(m, wide, narrow):
-    """Padded similarity over m elements, maximized over orderings of the p
-    narrow columns, which fill the first p wide positions; pads face the
-    wide tail.  DP over subsets: best[used] places the last of used at
-    position popcount(used) - 1."""
-    p = len(narrow)
-    agree = [[m - len(x ^ y) for y in narrow] for x in wide[:p]]
-    best = [0] * (1 << p)
-    for used in range(1, 1 << p):
-        j = used.bit_count() - 1
-        best[used] = max(best[used ^ 1 << k] + agree[j][k] for k in range(p) if used >> k & 1)
-    tail = sum(m - len(x) for x in wide[p:])
-    return Fraction(best[-1] + tail, m * len(wide))

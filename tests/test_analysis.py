@@ -30,6 +30,7 @@ from softsets import (
     intersection,
     is_permutation_basis,
     max_similarity_over_orderings,
+    oracle_best_similarity,
     oracle_similarity,
     probe_conjecture,
     relate,
@@ -63,11 +64,11 @@ class TestSimilarity:
 
     def test_needs_cells_to_compare(self):
         no_attrs = SoftSet(("a",), (), {})
-        with pytest.raises(EmptyDenominator):
-            similarity(no_attrs, no_attrs)
         no_elements = SoftSet((), ("x",), {"x": set()})
-        with pytest.raises(EmptyDenominator):
-            similarity(no_elements, no_elements)
+        for score in (similarity, oracle_similarity):
+            for s in (no_attrs, no_elements):
+                with pytest.raises(EmptyDenominator):
+                    score(s, s)
 
     def test_universe_must_match(self, abc_f):
         other = SoftSet(("a", "b"), ("x",), {"x": {"a"}})
@@ -108,11 +109,6 @@ class TestGravity:
         assert gravity(s) == {"e1": 2, "e2": 3, "e3": 1}
         assert gravity(f) == {"g1": 2, "g2": 1, "g3": 2, "g4": 3}
 
-    def test_matches_column_sums(self, abc_f, abc_g):
-        for s in (abc_f, abc_g):
-            columns = zip(*s.to_matrix())
-            assert list(gravity(s).values()) == list(map(sum, columns))
-
     def test_keyed_in_attribute_order(self, grav_pair):
         assert list(gravity(grav_pair[1])) == ["g1", "g2", "g3", "g4"]
 
@@ -132,7 +128,7 @@ class TestMaxSimilarityOverOrderings:
         narrow = SoftSet(u, ("b0",), {"b0": {"a"}})
         assert max_similarity_over_orderings(wide, narrow) == Fraction(10, 18)
         a = frozenset({"a"})
-        assert helpers.best_similarity(2, [a] * 9, [a]) == Fraction(10, 18)
+        assert oracle_best_similarity(2, [a] * 9, [a]) == Fraction(10, 18)
         with pytest.raises(TooManyAttributes):
             max_similarity_over_orderings(wide, wide)
 
@@ -275,7 +271,7 @@ def test_every_small_pair(universe):
             q, best = similarity(s, f), max_similarity_over_orderings(s, f)
             assert q == oracle_similarity(s, f)
             wide, narrow = (a, b) if len(a) >= len(b) else (b, a)
-            assert best == helpers.best_similarity(m, wide, narrow)
+            assert best == oracle_best_similarity(m, wide, narrow)
             assert best == max_similarity_over_orderings(f, s)
             assert best == q if len(narrow) == 1 else best >= q  # one column, one order
             if m == 2 and best != 1:

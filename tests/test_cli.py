@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from softsets import ApproxKind, SoftSet, soft_set_to_document
-from softsets.cli import _COMMANDS, _KINDS, _build_parser, main
+from softsets import SoftSet, soft_set_to_document
+from softsets.cli import _COMMANDS, _build_parser, main
 
 
 @pytest.fixture
@@ -173,13 +173,14 @@ class TestVerdictsAndReports:
         assert out.split()[0] == "1/1"
 
     def test_check_correctness_invariant(self, capsys, f_path, g_path):
-        code, out, _ = run(
-            capsys,
-            "check-correctness", f_path, g_path,
-            "--kind", "equivalent", "--trials", "100",
-        )
-        assert code == 0
-        assert out == "equivalent: Invariant (trials=100, violations=0)\n"
+        for kind in ("equivalent", "internal"):  # a relation, and an approximation kind
+            code, out, _ = run(
+                capsys,
+                "check-correctness", f_path, g_path,
+                "--kind", kind, "--trials", "100",
+            )
+            assert code == 0
+            assert out == f"{kind}: Invariant (trials=100, violations=0)\n"
 
     def test_check_correctness_violation_json(self, capsys, f_path):
         code, out, _ = run(
@@ -427,10 +428,6 @@ class TestEveryCommand:
         assert ("dataclasses" in added) == ("softsets.relations" in FOOTPRINT[name])
 
 
-def test_kind_choices_are_the_approximation_kinds():
-    assert _KINDS == [kind.value for kind in ApproxKind]
-
-
 def _parse(parser, argv):
     """The parsed options or the exit code, then stdout and stderr, of parser on argv."""
     out, err = io.StringIO(), io.StringIO()
@@ -515,6 +512,18 @@ _BYTES = (st.binary(max_size=40) | helpers.json_values.map(json.dumps).map(str.e
 _FLAG = st.text(max_size=6) | helpers.json_values.map(json.dumps)
 
 
+def _repeat_a_key(draw, doc: dict) -> str:
+    """The JSON text of doc with one key written twice, its own or, if it has
+    a values object, one of that; json.dumps never writes such a text."""
+    values = doc.get("values")
+    inner = isinstance(values, dict) and values and draw(st.booleans())
+    target = dict(values if inner else doc)
+    key = draw(st.sampled_from(sorted(target)))
+    target["\0twice"] = target[key]  # a stand-in no drawn key can equal
+    text = json.dumps({**doc, "values": target} if inner else target)
+    return text.replace(json.dumps("\0twice"), json.dumps(key), 1)
+
+
 @st.composite
 def _invocations(draw):
     """An argv over the command table, plus the bytes of each operand and of stdin.
@@ -533,7 +542,10 @@ def _invocations(draw):
         pick = draw(st.integers(0, 3))
         if pick == 3:
             return draw(_BYTES)
-        return json.dumps(helpers.near(draw, fitting) if pick else fitting).encode()
+        doc = helpers.near(draw, fitting) if pick else fitting
+        if isinstance(doc, dict) and doc and not draw(st.integers(0, 4)):
+            return _repeat_a_key(draw, doc).encode()
+        return json.dumps(doc).encode()
 
     argv, files = [name], {}
     for i in range(len(command.operands)):

@@ -27,6 +27,8 @@ from softsets import (
     duplicate_attribute,
     max_family,
     min_family,
+    oracle_minimal,
+    relate,
     rename_attributes,
     reorder_attributes,
     require_same_universe,
@@ -267,12 +269,6 @@ class TestMatrixForm:
         assert full.to_matrix() == ((1, 1), (1, 1))
         assert hollow.to_matrix() == ((0, 0), (0, 0))
 
-    def test_from_matrix_inverts_to_matrix(self, abc_f):
-        rebuilt = SoftSet.from_matrix(
-            abc_f.universe, abc_f.attributes, abc_f.to_matrix()
-        )
-        assert rebuilt == abc_f
-
     def test_masks_are_the_matrix_columns(self, abc_f):
         # bit i stands for universe[i]: x -> {b, c} is 0b110
         assert dict(abc_f.masks) == {"x": 0b110, "y": 0b100, "z": 0b001}
@@ -283,10 +279,6 @@ class TestMatrixForm:
             abc_f.masks["x"] = 0
         with pytest.raises(UnknownAttribute):
             abc_f.mask("w")
-
-    def test_zero_width_round_trip(self):
-        s = SoftSet(("a", "b"), (), {})
-        assert SoftSet.from_matrix(s.universe, (), s.to_matrix()) == s
 
     @given(helpers.soft_sets())
     def test_round_trip_any(self, s):
@@ -366,7 +358,7 @@ class TestKeptNames:
         values = {a: pool[j] if j < len(pool) else rng.choice(pool)
                   for j, a in enumerate(attributes)}
         tau = frozenset(values.values())
-        minimal = helpers.minimal(tau)
+        minimal = oracle_minimal(tau)
         s = SoftSet(universe, attributes, values)
         start, answers = threading.Barrier(8), []
 
@@ -441,9 +433,6 @@ class TestEqualityModel:
 
 
 class TestDocuments:
-    def test_round_trip(self, abc_f):
-        assert soft_set_from_document(soft_set_to_document(abc_f)) == abc_f
-
     def test_value_lists_follow_universe_order(self):
         s = SoftSet(("c", "a", "b"), ("x",), {"x": {"a", "b", "c"}})
         assert soft_set_to_document(s)["values"]["x"] == ["c", "a", "b"]
@@ -557,6 +546,42 @@ def test_readers_answer_with_a_soft_set_or_a_domain_error(read):
     assert all(isinstance(name, str) for name in result.universe + result.attributes)
 
 
+# an int past the interpreter's 4300-digit limit on int-to-text conversion, which
+# repr refuses with a bare ValueError
+_LONG = 10 ** 5000
+_ONE = SoftSet(("a",), ("x",), {"x": {"a"}})
+
+
+@pytest.mark.parametrize("call", [
+    lambda bad: SoftSet.from_matrix(("a",), ("x",), [[bad]]),
+    lambda bad: SoftSet(("a",), ("x",), {"x": {bad}}),
+    lambda bad: SoftSet((bad,), ("x",), {"x": set()}),
+    lambda bad: SoftSet(("a",), (bad,), {bad: set()}),
+    lambda bad: SoftSet(("a",), ("x",), {"x": set(), bad: set()}),
+    # with a str beside it, sorting falls back to comparing the text of each
+    lambda bad: SoftSet(("a",), ("x",), {"x": [bad, "zz"]}),
+    lambda bad: SoftSet(("a",), ("x",), {"x": set(), bad: set(), "zz": set()}),
+    lambda bad: _ONE.names(bad),
+    lambda bad: _ONE.mask(bad),
+    lambda bad: _ONE.value(bad),
+    lambda bad: relate(_ONE, _ONE, bad),
+    lambda bad: drop_attribute(_ONE, bad),
+    lambda bad: duplicate_attribute(_ONE, "x", bad),
+    lambda bad: reorder_attributes(_ONE, [bad]),
+    # a universe wide enough that full_mask, in the message, has the digits of bad
+    lambda bad: SoftSet([f"u{i}" for i in range(bad.bit_length())], (), {}).names(-1),
+], ids=["matrix-entry", "stray", "universe-name", "attribute-name", "extra-key",
+        "mixed-strays", "mixed-extra-keys", "names", "mask", "value", "relate", "drop",
+        "duplicate", "reorder", "full-mask"])
+def test_an_unprintable_value_gets_the_domain_error(call):
+    with pytest.raises(SoftSetError) as small:
+        call(2)
+    with pytest.raises(SoftSetError) as long:
+        call(_LONG)
+    assert type(long.value) is type(small.value)
+    assert "\n" not in str(long.value)
+
+
 def test_package_exports_are_pinned():
     import softsets
 
@@ -571,8 +596,10 @@ def test_package_exports_are_pinned():
         "equivalent", "externally_approximates", "fraction_str", "gravity",
         "gravity_domination", "internally_approximates", "intersection",
         "is_permutation_basis", "max_family", "max_similarity_over_orderings",
-        "min_family", "oracle_complement", "oracle_intersection", "oracle_product",
-        "oracle_similarity", "oracle_union", "pair_name", "probe_conjecture",
+        "min_family", "oracle_best_similarity", "oracle_complement", "oracle_external",
+        "oracle_internal", "oracle_intersection", "oracle_maximal", "oracle_minimal",
+        "oracle_product", "oracle_relation", "oracle_similarity", "oracle_union",
+        "pair_name", "probe_conjecture",
         "product", "random_equivalent_variant", "relate", "rename_attributes",
         "reorder_attributes", "require_same_universe", "similarity",
         "soft_set_from_document", "soft_set_to_document", "union",

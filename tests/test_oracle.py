@@ -1,5 +1,5 @@
-"""The set-form oracles, the exhaustive generator of tests/helpers.py, and the
-independence of both kinds of set-form reference from the matrix code."""
+"""The references of softsets.oracle where no sweep reaches them, their
+independence from the matrix code, and the generator of tests/helpers.py."""
 
 import ast
 import builtins
@@ -13,36 +13,15 @@ import softsets
 from softsets import (
     SoftSet,
     UniverseMismatch,
-    complement,
-    intersection,
-    oracle_complement,
     oracle_intersection,
     oracle_product,
     oracle_similarity,
     oracle_union,
-    product,
     similarity,
-    union,
 )
 
 
 class TestOracleAgreement:
-    def test_complement(self, abc_f):
-        assert oracle_complement(abc_f) == complement(abc_f)
-
-    def test_union(self, abc_f, abc_g):
-        got = oracle_union(abc_f, abc_g)
-        assert got == union(abc_f, abc_g)
-        assert got.attributes[0] == "(x,m)"
-
-    def test_intersection(self, abc_f, abc_g):
-        assert oracle_intersection(abc_f, abc_g) == intersection(abc_f, abc_g)
-
-    def test_product(self, abc_f, abc_g):
-        got = oracle_product(abc_f, abc_g)
-        assert got == product(abc_f, abc_g)
-        assert got.universe == product(abc_f, abc_g).universe
-
     def test_similarity_on_fixture_pairs(self, sim_pair, five_pair):
         assert oracle_similarity(*sim_pair) == Fraction(2, 3)
         assert oracle_similarity(*five_pair) == Fraction(3, 5)
@@ -106,10 +85,11 @@ def test_oracles_import_only_core_from_the_package():
 
 
 def test_references_touch_no_soft_set():
-    # the references in helpers are evidence only while they work on frozensets
+    # the family-level references are evidence only while they work on frozensets
     # and families alone: no SoftSet attribute read, no library function called
-    references = {"internal", "external", "relation", "minimal", "maximal", "best_similarity"}
-    tree = ast.parse(Path(helpers.__file__).read_text(encoding="utf-8"))
+    references = {"oracle_internal", "oracle_external", "oracle_relation", "oracle_minimal",
+                  "oracle_maximal", "oracle_best_similarity"}
+    tree = ast.parse(Path(softsets.oracle.__file__).read_text(encoding="utf-8"))
     functions = [node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name in references]
     assert {function.name for function in functions} == references

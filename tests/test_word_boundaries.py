@@ -3,8 +3,8 @@
 Values are stored as int masks, one bit per universe element, so sizes
 around 30, 64 and beyond are where a mask bug would hide; the
 hypothesis strategies stop at four elements.  Every check compares the
-library with the set-form oracles or with the set-form references in
-helpers, on the generated frozensets, never with the library's own masks.
+library with the set-form references in softsets.oracle, or with the
+generated frozensets, never with the library's own masks.
 """
 
 import random
@@ -28,9 +28,14 @@ from softsets import (
     max_family,
     max_similarity_over_orderings,
     min_family,
+    oracle_best_similarity,
     oracle_complement,
+    oracle_internal,
     oracle_intersection,
+    oracle_maximal,
+    oracle_minimal,
     oracle_product,
+    oracle_relation,
     oracle_similarity,
     oracle_union,
     product,
@@ -82,8 +87,8 @@ def check_one(s, spec, universe):
     assert complement(s).values == {a: x - v for a, v in spec.items()}
     assert gravity(s) == {a: len(v) for a, v in spec.items()}
     fam = set(spec.values())
-    assert min_family(s) == helpers.minimal(fam)
-    assert max_family(s) == helpers.maximal(fam, x)
+    assert min_family(s) == oracle_minimal(fam)
+    assert max_family(s) == oracle_maximal(fam, x)
     assert s.tau() == fam
     assert is_permutation_basis(s) == (
         len(spec) == len(universe)
@@ -91,7 +96,7 @@ def check_one(s, spec, universe):
         and len(set(spec.values())) == len(spec)
     )
     assert tuple(antichain_profile(s)) == (
-        len(fam) == len(spec), fam <= helpers.minimal(fam), fam <= helpers.maximal(fam, x)
+        len(fam) == len(spec), fam <= oracle_minimal(fam), fam <= oracle_maximal(fam, x)
     )
     # canonical order: (column read from row 0 down, name), as tuples
     key = lambda a: (tuple(1 if e in spec[a] else 0 for e in universe), a)  # noqa: E731
@@ -121,8 +126,8 @@ def check_pair(s, sspec, f, fspec, universe, with_product=True):
     tau_s, tau_f = set(sspec.values()), set(fspec.values())
     assert equivalent(s, f) == (tau_s == tau_f)
     for kind in ApproxKind:
-        assert relate(s, f, kind) == helpers.relation(kind, tau_s, tau_f, x), kind
-    assert gravity_domination(s, f) == helpers.internal(tau_s, tau_f)
+        assert relate(s, f, kind) == oracle_relation(kind, tau_s, tau_f, x), kind
+    assert gravity_domination(s, f) == oracle_internal(tau_s, tau_f)
     a, b = list(sspec.values()), list(fspec.values())
     if not (a or b):
         with pytest.raises(EmptyDenominator):
@@ -134,7 +139,7 @@ def check_pair(s, sspec, f, fspec, universe, with_product=True):
             max_similarity_over_orderings(s, f)
         return
     wide, narrow = (a, b) if len(a) >= len(b) else (b, a)
-    best = helpers.best_similarity(len(universe), wide, narrow)
+    best = oracle_best_similarity(len(universe), wide, narrow)
     assert max_similarity_over_orderings(s, f) == best
 
 
