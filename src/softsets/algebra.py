@@ -14,19 +14,19 @@ from __future__ import annotations
 from itertools import product as pairs, starmap
 from operator import and_, mul, or_
 
-from .core import SoftSet, check_names, require_same_universe
+from .core import SoftSet, _require_same_universe, check_names
 
-__all__ = ["complement", "intersection", "pair_name", "product", "union"]
+__all__ = ["complement", "intersection", "product", "union"]
 
 
-def pair_name(left: str, right: str) -> str:
+def _pair_name(left: str, right: str) -> str:
     """Deterministic rendering for derived pair labels; nests as "((a,b),c)"."""
     return f"({left},{right})"
 
 
 def _pairwise(s: SoftSet, f: SoftSet, universe, left, right, op) -> SoftSet:
     """Result column (i, j) is op(left[i], right[j]), row-major in i."""
-    attributes = tuple(pair_name(a, b) for a in s.attributes for b in f.attributes)
+    attributes = tuple(_pair_name(a, b) for a in s.attributes for b in f.attributes)
     return SoftSet._new(universe, attributes, starmap(op, pairs(left, right)))
 
 
@@ -38,13 +38,13 @@ def complement(s: SoftSet) -> SoftSet:
 
 def union(s: SoftSet, f: SoftSet) -> SoftSet:
     """Elementwise max over all left-column/right-column pairs."""
-    require_same_universe(s, f)
+    _require_same_universe(s, f)
     return _pairwise(s, f, s.universe, s.masks.values(), f.masks.values(), or_)
 
 
 def intersection(s: SoftSet, f: SoftSet) -> SoftSet:
     """Elementwise min over all left-column/right-column pairs."""
-    require_same_universe(s, f)
+    _require_same_universe(s, f)
     return _pairwise(s, f, s.universe, s.masks.values(), f.masks.values(), and_)
 
 
@@ -58,10 +58,10 @@ def product(s: SoftSet, f: SoftSet) -> SoftSet:
     in a_i: one multiplication of b_j (below 2**m, so the shifted copies
     never carry into each other) by a_i with bit k spread to bit k*m.
     """
-    require_same_universe(s, f)
+    _require_same_universe(s, f)
     x = s.universe
     m = len(x)
-    universe = tuple(pair_name(u, v) for u in x for v in x)
+    universe = tuple(_pair_name(u, v) for u in x for v in x)
     # inserting m-1 zero digits between the digits of a moves bit k to bit k*m
     gap = "0" * (m - 1)
     spread = [int(gap.join(bin(a | 1 << m)[3:]) or "0", 2) for a in s.masks.values()]

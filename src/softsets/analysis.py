@@ -15,17 +15,15 @@ from fractions import Fraction
 from itertools import permutations, starmap, zip_longest
 from operator import xor
 
-from .core import (EmptyDenominator, SoftSet, SoftSetError, minimal_masks,
-                   require_same_universe)
+from .core import (EmptyDenominator, SoftSet, SoftSetError, _require_same_universe,
+                   minimal_masks)
 
 __all__ = [
     "AntichainProfile",
     "ConjectureProbe",
-    "EmptyDenominator",
     "MAX_PERMUTED_ATTRIBUTES",
     "TooManyAttributes",
     "antichain_profile",
-    "fraction_str",
     "gravity",
     "is_permutation_basis",
     "max_similarity_over_orderings",
@@ -40,14 +38,9 @@ class TooManyAttributes(SoftSetError):
     """The factorial ordering search is refused beyond the supported width."""
 
 
-def fraction_str(q: Fraction) -> str:
-    """Always "num/den", reduced; str(Fraction) would drop the /1."""
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _shape(s: SoftSet, f: SoftSet) -> tuple[int, int]:
     """m and the padded width n, whose product is the score's denominator."""
-    require_same_universe(s, f)
+    _require_same_universe(s, f)
     m, n = len(s.universe), max(len(s.attributes), len(f.attributes))
     if m == 0 or n == 0:
         raise EmptyDenominator(

@@ -86,6 +86,8 @@ def _relate(s: SoftSet, f: SoftSet, kind: str) -> tuple[str, bool]:
 
 
 def _check(s: SoftSet, f: SoftSet, kind: str, trials: int, seed: int):
+    if trials < 1:  # the library's own message names its parameter, rewrite_count
+        raise SoftSetError("trials must be at least 1")
     from .relations import check_relation_correctness, equal, equivalent, relate
 
     relation = {"equal": equal, "equivalent": equivalent}.get(kind)
@@ -117,10 +119,13 @@ def _family(family):
     return ["{" + ", ".join(map(_subset_str, ordered)) + "}"], [sorted(b) for b in ordered]
 
 
-def _fraction(q):
-    from .analysis import fraction_str
+def _fraction_str(q) -> str:
+    """Always "num/den", reduced; str(Fraction) would drop the /1."""
+    return f"{q.numerator}/{q.denominator}"
 
-    text = fraction_str(q)
+
+def _fraction(q):
+    text = _fraction_str(q)
     return [f"{text} ({float(q):.6g})"], {"similarity": text}
 
 
@@ -155,12 +160,10 @@ def _report(r):
 
 
 def _probes(probes):
-    from .analysis import fraction_str
-
-    base = fraction_str(probes[0].original_similarity)
+    base = _fraction_str(probes[0].original_similarity)
     rows = [
         {"rewritten": p.rewritten,
-         "rewritten_similarity": fraction_str(p.rewritten_similarity),
+         "rewritten_similarity": _fraction_str(p.rewritten_similarity),
          "differs": p.differs}
         for p in probes
     ]
@@ -230,10 +233,6 @@ def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """The parser for argv: only the named subparser when argv[0] is a
     command, every subparser for help and for usage errors."""
     names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    shared = argparse.ArgumentParser(add_help=False)
-    style = shared.add_mutually_exclusive_group()
-    style.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    style.add_argument("--pretty", action="store_true", help="emit aligned text (default)")
     parser = argparse.ArgumentParser(
         prog="softset",
         description="Soft sets as binary matrices: operations, relations, similarity.",
@@ -241,7 +240,8 @@ def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name in names:
         command = _COMMANDS[name]
-        p = sub.add_parser(name, parents=[shared], help=command.help)
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
         for help_text in _OPERAND_HELP[len(command.operands)]:
             p.add_argument("files", action="append", metavar="FILE", help=help_text)
         for option, settings in command.options.items():

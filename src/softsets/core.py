@@ -35,6 +35,7 @@ __all__ = [
     "DimensionMismatch",
     "DuplicateAttribute",
     "DuplicateElement",
+    "EmptyDenominator",
     "InvalidValue",
     "MissingValue",
     "SoftSet",
@@ -42,7 +43,6 @@ __all__ = [
     "UniverseMismatch",
     "UnknownAttribute",
     "UnknownElement",
-    "require_same_universe",
     "soft_set_from_document",
     "soft_set_to_document",
 ]
@@ -87,7 +87,7 @@ class UniverseMismatch(SoftSetError):
 
 class EmptyDenominator(SoftSetError):
     """Similarity is undefined without universe elements and attributes.
-    Exported with similarity by analysis; here so the oracles need only core."""
+    Here, not in analysis, so the oracles need only core."""
 
 
 class ApproxKind(Enum):
@@ -276,10 +276,6 @@ class SoftSet:
         return self._universe
 
     @property
-    def universe_set(self) -> frozenset[str]:
-        return frozenset(self._universe)
-
-    @property
     def attributes(self) -> tuple[str, ...]:
         return self._attributes
 
@@ -370,7 +366,7 @@ class SoftSet:
         return f"SoftSet(universe={doc['universe']!r}, values={doc['values']!r})"
 
 
-def require_same_universe(s: SoftSet, f: SoftSet) -> None:
+def _require_same_universe(s: SoftSet, f: SoftSet) -> None:
     """Binary operations align rows positionally, so order matters too."""
     if s.universe != f.universe:
         raise UniverseMismatch(

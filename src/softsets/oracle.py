@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 
-from .core import ApproxKind, EmptyDenominator, SoftSet, require_same_universe
+from .core import ApproxKind, EmptyDenominator, SoftSet, _require_same_universe
 
 __all__ = [
     "oracle_best_similarity",
@@ -31,7 +31,7 @@ __all__ = [
 
 
 def oracle_complement(s: SoftSet) -> SoftSet:
-    x = s.universe_set
+    x = frozenset(s.universe)
     return SoftSet(
         s.universe, s.attributes, {a: x - s.value(a) for a in s.attributes}
     )
@@ -39,7 +39,7 @@ def oracle_complement(s: SoftSet) -> SoftSet:
 
 def _oracle_pairwise(s: SoftSet, f: SoftSet, op: Callable) -> SoftSet:
     """One value op(s(a), f(b)) per attribute pair, labelled "(a,b)"."""
-    require_same_universe(s, f)
+    _require_same_universe(s, f)
     pairs = [(a, b) for a in s.attributes for b in f.attributes]
     values = {f"({a},{b})": op(s.value(a), f.value(b)) for a, b in pairs}
     return SoftSet(s.universe, [f"({a},{b})" for a, b in pairs], values)
@@ -54,7 +54,7 @@ def oracle_intersection(s: SoftSet, f: SoftSet) -> SoftSet:
 
 
 def oracle_product(s: SoftSet, f: SoftSet) -> SoftSet:
-    require_same_universe(s, f)
+    _require_same_universe(s, f)
     universe = tuple(f"({u},{v})" for u in s.universe for v in s.universe)
     attributes = tuple(f"({a},{b})" for a in s.attributes for b in f.attributes)
     values = {
@@ -70,7 +70,7 @@ def oracle_product(s: SoftSet, f: SoftSet) -> SoftSet:
 def oracle_similarity(s: SoftSet, f: SoftSet) -> Fraction:
     """Cell agreement via membership tests only; positions past an
     operand's width count as non-membership."""
-    require_same_universe(s, f)
+    _require_same_universe(s, f)
     m = len(s.universe)
     n = max(len(s.attributes), len(f.attributes))
     if m == 0 or n == 0:

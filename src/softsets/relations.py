@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .core import (ApproxKind, SoftSet, SoftSetError, UnknownAttribute, _name_tuple, _repr,
-                   minimal_masks, require_same_universe)
+                   _require_same_universe, minimal_masks)
 
 __all__ = [
     "CorrectnessReport",
@@ -39,13 +39,13 @@ __all__ = [
 
 def equal(s: SoftSet, t: SoftSet) -> bool:
     """Same attribute set and identical value map; attribute order is immaterial."""
-    require_same_universe(s, t)
+    _require_same_universe(s, t)
     return s.masks == t.masks
 
 
 def equivalent(s: SoftSet, t: SoftSet) -> bool:
     """Equality of the value families; the only identity the labels can't disturb."""
-    require_same_universe(s, t)
+    _require_same_universe(s, t)
     return set(s.masks.values()) == set(t.masks.values())
 
 
@@ -97,7 +97,7 @@ _KINDS = {
 
 
 def relate(s: SoftSet, f: SoftSet, kind: ApproxKind) -> bool:
-    require_same_universe(s, f)
+    _require_same_universe(s, f)
     try:
         families, back = _KINDS[kind]
     except (KeyError, TypeError):

@@ -8,7 +8,6 @@ from softsets import (
     SoftSet,
     UniverseMismatch,
     intersection,
-    pair_name,
     product,
     union,
 )
@@ -48,5 +47,5 @@ class TestProduct:
 
 class TestAlgebraicIdentities:
     def test_pair_name_nests(self):
-        assert pair_name("x", "y") == "(x,y)"
-        assert pair_name(pair_name("x", "y"), "z") == "((x,y),z)"
+        s, f, g = (SoftSet(("a",), (name,), {name: {"a"}}) for name in "xyz")
+        assert union(union(s, f), g).attributes == ("((x,y),z)",)

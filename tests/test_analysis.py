@@ -25,7 +25,6 @@ from softsets import (
     complement,
     duplicate_attribute,
     equivalent,
-    fraction_str,
     gravity,
     intersection,
     is_permutation_basis,
@@ -93,14 +92,6 @@ class TestSimilarity:
     @given(helpers.soft_sets(min_width=1))
     def test_reflexive_anywhere(self, s):
         assert similarity(s, s) == 1
-
-
-class TestFractionStr:
-    def test_always_renders_a_slash(self):
-        assert fraction_str(Fraction(2, 3)) == "2/3"
-        assert fraction_str(Fraction(1)) == "1/1"
-        assert fraction_str(Fraction(0, 5)) == "0/1"
-        assert fraction_str(Fraction(2, 4)) == "1/2"
 
 
 class TestGravity:

@@ -2,6 +2,7 @@
 kept name sets, documents."""
 
 import importlib
+import inspect
 import random
 import re
 import sys
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import softsets
 from softsets import (
+    ApproxKind,
     DimensionMismatch,
     DuplicateAttribute,
     DuplicateElement,
@@ -25,17 +28,19 @@ from softsets import (
     UnknownElement,
     drop_attribute,
     duplicate_attribute,
+    equal,
+    equivalent,
     max_family,
     min_family,
     oracle_minimal,
     relate,
     rename_attributes,
     reorder_attributes,
-    require_same_universe,
     soft_set_from_document,
     soft_set_to_document,
 )
 from helpers import fam
+from softsets.core import _require_same_universe
 
 
 class TestBitMatrix:
@@ -254,8 +259,8 @@ class TestSoftSetValidation:
     def test_require_same_universe_is_positional(self, abc_f):
         reordered = SoftSet(("c", "b", "a"), abc_f.attributes, abc_f.values)
         with pytest.raises(UniverseMismatch):
-            require_same_universe(abc_f, reordered)
-        assert require_same_universe(abc_f, abc_f) is None
+            _require_same_universe(abc_f, reordered)
+        assert _require_same_universe(abc_f, abc_f) is None
 
 
 class TestMatrixForm:
@@ -582,6 +587,74 @@ def test_an_unprintable_value_gets_the_domain_error(call):
     assert "\n" not in str(long.value)
 
 
+# arbitrary values for the API fuzz below; _HUGE, which hypothesis cannot repr inside
+# st.just, is _LONG, and each position draws it on its own too, as the likeliest escape
+_HUGE = st.builds(pow, st.just(10), st.just(5000))
+_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.binary(max_size=3) | _HUGE,
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+    | st.frozensets(st.text(max_size=2)) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+# every function the package exports but the oracles, which take raw families,
+# and the SoftSet methods that take an argument
+_API = [getattr(softsets, name) for name in softsets.__all__
+        if inspect.isfunction(getattr(softsets, name)) and not name.startswith("oracle_")]
+_API += [SoftSet.mask, SoftSet.names, SoftSet.value]
+# the positions where a value of the wrong type may raise TypeError (the count contract)
+_COUNTS = {"trials", "rewrite_count", "seed"}
+# rng and relation stay valid, being out of scope; counts stay small, since a huge one
+# keeps a probe per trial until memory runs out
+_SMALL = st.integers(-2, 4) | _ANY.filter(lambda value: not isinstance(value, int))
+_KEPT = {"rng": st.integers().map(random.Random), "relation": st.sampled_from([equal, equivalent]),
+         "trials": _SMALL, "rewrite_count": _SMALL}
+
+
+@st.composite
+def _api_calls(draw):
+    """One function of the API and an argument per parameter: the operands and
+    the _KEPT positions as above; elsewhere an arbitrary value or, to get past
+    the first check, one that fits."""
+    call = draw(st.sampled_from(_API))
+    s, f = draw(helpers.soft_set_pairs())
+    operands = iter((s, f))
+    fitting = {
+        "attribute": st.sampled_from(s.attributes),
+        "new_name": st.text(max_size=2),
+        "suffix": st.text(max_size=2),
+        "order": st.permutations(s.attributes),
+        "mask": st.integers(0, s.full_mask),
+        "kind": st.sampled_from(ApproxKind),
+        "doc": st.just(soft_set_to_document(s)),
+    }
+    args = {}
+    for param in inspect.signature(call).parameters:
+        if param in ("self", "s", "f", "t"):
+            args[param] = next(operands)
+        elif param in _KEPT:
+            args[param] = draw(_KEPT[param])
+        else:
+            args[param] = draw(fitting.get(param, st.nothing()) | _HUGE | _ANY)
+    return call, args
+
+
+@settings(max_examples=400, deadline=None)
+@given(_api_calls())
+def test_the_api_answers_with_a_result_or_a_domain_error(call_args):
+    """The error contract over the whole API: any value at a name, attribute,
+    order, kind or count position returns or raises SoftSetError; a count or
+    seed of the wrong type may raise TypeError instead."""
+    call, args = call_args
+    try:
+        call(*args.values())
+    except SoftSetError:
+        pass
+    except TypeError:
+        if all(type(args[param]) is int for param in _COUNTS & args.keys()):
+            raise
+
+
 def test_package_exports_are_pinned():
     import softsets
 
@@ -593,15 +666,14 @@ def test_package_exports_are_pinned():
         "UnknownAttribute", "UnknownElement",
         "antichain_profile", "check_relation_correctness", "complement",
         "drop_attribute", "duplicate_attribute", "equal",
-        "equivalent", "externally_approximates", "fraction_str", "gravity",
+        "equivalent", "externally_approximates", "gravity",
         "gravity_domination", "internally_approximates", "intersection",
         "is_permutation_basis", "max_family", "max_similarity_over_orderings",
         "min_family", "oracle_best_similarity", "oracle_complement", "oracle_external",
         "oracle_internal", "oracle_intersection", "oracle_maximal", "oracle_minimal",
         "oracle_product", "oracle_relation", "oracle_similarity", "oracle_union",
-        "pair_name", "probe_conjecture",
-        "product", "random_equivalent_variant", "relate", "rename_attributes",
-        "reorder_attributes", "require_same_universe", "similarity",
+        "probe_conjecture", "product", "random_equivalent_variant", "relate",
+        "rename_attributes", "reorder_attributes", "similarity",
         "soft_set_from_document", "soft_set_to_document", "union",
     ]
     assert all(hasattr(softsets, name) for name in softsets.__all__)
