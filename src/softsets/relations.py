@@ -190,6 +190,28 @@ def reorder_attributes(s: SoftSet, order: Sequence[str]) -> SoftSet:
     return SoftSet._new(s.universe, *_reorder(s.attributes, tuple(s.masks.values()), positions))
 
 
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A draw from range(n), n >= 1, made as random.Random makes it for
+    randrange(n): bits(n.bit_length()), drawn again while it is n or more."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _permutation(bits: Callable[[int], int], n: int) -> list[int]:
+    """range(n) in the order random.Random's sample(range(n), n) gives: for
+    j from n down to 1, take pool[_below(bits, j)] and fill its place from
+    pool[j - 1].  sample keeps such a pool whenever it takes all n."""
+    pool, order = list(range(n)), []
+    for j in range(n, 0, -1):
+        i = _below(bits, j)
+        order.append(pool[i])
+        pool[i] = pool[j - 1]
+    return order
+
+
 def random_equivalent_variant(s: SoftSet, rng: random.Random) -> SoftSet:
     """One to three random rewrites from the toolbox above.
 
@@ -197,17 +219,21 @@ def random_equivalent_variant(s: SoftSet, rng: random.Random) -> SoftSet:
     result is always equivalent to s.  Steps that need material to work
     on (an attribute to copy, a duplicated value to drop, two columns
     to swap) fall through quietly when s is too small; if all of them
-    do, s itself comes back.  rng gets the calls the helpers would need;
-    sample(range(n), n) draws as sampling the n names does.
+    do, s itself comes back.  rng is read only through getrandbits, in
+    the order and widths that randint, randrange, choice and sample use
+    on a random.Random: one to three moves as randint(1, 3), each move
+    as randrange(4), a suffix as randrange(1000), a name or a carrier as
+    choice, and an order as sample(range(n), n).
     """
+    bits = rng.getrandbits
     names = attributes = s.attributes
     masks = tuple(s.masks.values())
-    for _ in range(rng.randint(1, 3)):
-        move = rng.randrange(4)
+    for _ in range(1 + _below(bits, 3)):
+        move = _below(bits, 4)
         if move == 0 and names:
-            names, masks = _rename(names, masks, f"~{rng.randrange(1000)}")
+            names, masks = _rename(names, masks, f"~{_below(bits, 1000)}")
         elif move == 1 and names:  # under the first free name stem+k
-            stem, k, taken = rng.choice(names), 1, set(names)
+            stem, k, taken = names[_below(bits, len(names))], 1, set(names)
             while f"{stem}+{k}" in taken:
                 k += 1
             names, masks = _duplicate(names, masks, stem, f"{stem}+{k}")
@@ -216,9 +242,9 @@ def random_equivalent_variant(s: SoftSet, rng: random.Random) -> SoftSet:
             for j, w in enumerate(masks):
                 groups.setdefault(w, []).append(j)
             droppable = [j for group in groups.values() if len(group) > 1 for j in group]
-            names, masks = _drop(names, masks, rng.choice(droppable))
+            names, masks = _drop(names, masks, droppable[_below(bits, len(droppable))])
         elif move == 3 and len(names) > 1:
-            names, masks = _reorder(names, masks, rng.sample(range(len(names)), len(names)))
+            names, masks = _reorder(names, masks, _permutation(bits, len(names)))
     return s if names is attributes else SoftSet._new(s.universe, names, masks)
 
 
@@ -226,7 +252,10 @@ def rewrite_pairs(s: SoftSet, f: SoftSet, trials: int, seed: int,
                   what: str) -> Iterator[tuple[SoftSet, SoftSet]]:
     """The trials of both probers: trials pairs (s', f') of seeded variants,
     s' drawn before f'.  A count below 1 is refused here, on the call,
-    before any verdict on (s, f) is taken; what names it in the error."""
+    before any verdict on (s, f) is taken; what names it in the error.  A
+    bool is refused as a count that is no int would be, with TypeError."""
+    if isinstance(trials, bool):
+        raise TypeError(f"{what} must be an int, not bool")
     if trials < 1:
         raise SoftSetError(f"{what} must be at least 1")
     rng = random.Random(seed)
@@ -263,8 +292,13 @@ def check_relation_correctness(
     equivalent to f, and records every trial whose verdict differs from
     relation(s, f).  A clean report certifies only "no violation found
     in this many rewrites"; a single violation is a proof of failure.
+    The report carries name, a str, or for None the relation's __name__.
     """
     pairs = rewrite_pairs(s, f, rewrite_count, seed, "rewrite_count")
+    if name is None:
+        name = getattr(relation, "__name__", "relation")
+    else:
+        _name_tuple((name,), "name")
     base = bool(relation(s, f))
     violations = []
     for s2, f2 in pairs:
@@ -272,7 +306,7 @@ def check_relation_correctness(
         if got != base:
             violations.append(RelationViolation((s, f), (s2, f2), base, got))
     return CorrectnessReport(
-        relation_name=name or getattr(relation, "__name__", "relation"),
+        relation_name=name,
         trials=rewrite_count,
         violations=tuple(violations),
     )

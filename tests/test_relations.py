@@ -12,6 +12,7 @@ import helpers
 from softsets import (
     ApproxKind,
     DuplicateAttribute,
+    InvalidValue,
     SoftSet,
     SoftSetError,
     UniverseMismatch,
@@ -41,6 +42,7 @@ from softsets import (
     union,
 )
 from helpers import fam
+from softsets.relations import _below, _permutation
 
 
 class TestEqualAndEquivalent:
@@ -232,6 +234,22 @@ class TestCorrectnessChecker:
         with pytest.raises(SoftSetError):
             check_relation_correctness(equivalent, abc_f, abc_g, rewrite_count=0)
 
+    @pytest.mark.parametrize("name", [b"x", [], 0, ("x",)], ids=repr)
+    def test_a_name_that_is_no_str_is_refused(self, abc_f, name):
+        with pytest.raises(InvalidValue, match="^name"):
+            check_relation_correctness(equal, abc_f, abc_f, 1, name=name)
+
+    def test_only_none_falls_back_to_the_relation_name(self, abc_f):
+        named = [check_relation_correctness(equal, abc_f, abc_f, 1, name=name).relation_name
+                 for name in (None, "")]
+        assert named == ["equal", ""]
+
+    def test_a_bool_count_is_refused(self, abc_f):
+        with pytest.raises(TypeError, match="^rewrite_count must be an int, not bool$"):
+            check_relation_correctness(equal, abc_f, abc_f, True, 0)
+        with pytest.raises(TypeError, match="^trials must be an int, not bool$"):
+            probe_conjecture(abc_f, abc_f, trials=True)
+
     def test_bad_count_is_refused_before_the_relation_runs(self, abc_f):
         elsewhere = SoftSet(("p",), ("x",), {"x": {"p"}})
         with pytest.raises(SoftSetError, match="^rewrite_count must be at least 1$"):
@@ -289,38 +307,48 @@ class TestVariantStream:
 
 
 class ScriptedRng:
-    """Stands in for random.Random: answers each call from a script of
-    (method, answer) pairs, so a test picks the moves a variant makes."""
+    """Stands in for random.Random: answers each getrandbits(k) from a script
+    of (k, answer) pairs, so a test picks the moves a variant makes and
+    checks the width of every draw."""
 
     def __init__(self, script):
         self.script = list(script)
 
-    def _answer(self, method):
+    def getrandbits(self, k):
         expected, answer = self.script.pop(0)
-        assert method == expected
+        assert k == expected
         return answer
-
-    def randint(self, a, b):
-        return self._answer("randint")
-
-    def randrange(self, n):
-        return self._answer("randrange")
-
-    def choice(self, seq):
-        return seq[self._answer("choice")]
 
 
 def test_fresh_names_are_free_after_a_rename():
     # duplicate y, rename with ~5, duplicate y~5: the old name y~5+1 was
     # renamed away, so the second copy may take it
     s = SoftSet(("a", "b"), ("y", "y~5+1"), {"y": {"a"}, "y~5+1": {"b"}})
-    rng = ScriptedRng([("randint", 3), ("randrange", 1), ("choice", 0),
-                       ("randrange", 0), ("randrange", 5), ("randrange", 1), ("choice", 0)])
+    rng = ScriptedRng([(2, 3), (2, 2),  # randint(1, 3): 3 is out of range and drawn again
+                       (3, 1), (2, 0),  # move 1, choice of y among 2 names
+                       (3, 0), (10, 5),  # move 0, suffix ~5 from randrange(1000)
+                       (3, 1), (2, 0)])  # move 1, choice of y~5 among 3 names
     by_helpers = duplicate_attribute(
         rename_attributes(duplicate_attribute(s, "y", "y+1"), "~5"), "y~5", "y~5+1")
     variant = random_equivalent_variant(s, rng)
     assert variant.attributes == by_helpers.attributes == ("y~5", "y~5+1~5", "y+1~5", "y~5+1")
     assert variant == by_helpers and not rng.script
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64), st.integers(1, 64))
+def test_draws_are_those_of_random_random(seed, n):
+    # the variant's draws, made from getrandbits, against the methods they
+    # replace: same values, and the generators end in the same state
+    ours, theirs = random.Random(seed), random.Random(seed)
+    bits, seq = ours.getrandbits, [f"a{i}" for i in range(n)]
+    assert 1 + _below(bits, 3) == theirs.randint(1, 3)
+    assert _below(bits, 4) == theirs.randrange(4)
+    assert _below(bits, 1000) == theirs.randrange(1000)
+    assert _below(bits, n) == theirs.randrange(n)
+    assert seq[_below(bits, n)] == theirs.choice(seq)
+    assert _permutation(bits, n) == theirs.sample(range(n), n)
+    assert ours.getstate() == theirs.getstate()
 
 
 @pytest.mark.parametrize("m", range(4), ids=lambda m: f"m={m}")
