@@ -15,17 +15,13 @@ from fractions import Fraction
 from itertools import permutations, starmap, zip_longest
 from operator import xor
 
-from .core import (EmptyDenominator, SoftSet, SoftSetError, _require_same_universe,
-                   minimal_masks)
+from .core import EmptyDenominator, SoftSet, SoftSetError, _require_same_universe
 
 __all__ = [
-    "AntichainProfile",
     "ConjectureProbe",
     "MAX_PERMUTED_ATTRIBUTES",
     "TooManyAttributes",
-    "antichain_profile",
     "gravity",
-    "is_permutation_basis",
     "max_similarity_over_orderings",
     "probe_conjecture",
     "similarity",
@@ -92,39 +88,6 @@ def max_similarity_over_orderings(s: SoftSet, f: SoftSet) -> Fraction:
     score = [[m - (x ^ y).bit_count() for y in c] for x in w[:p]]
     best = max(sum(score[j][perm[j]] for j in range(p)) for perm in permutations(range(p)))
     return Fraction(best + tail, m * n)
-
-
-def is_permutation_basis(s: SoftSet) -> bool:
-    """Square matrix whose columns are distinct standard basis vectors.
-
-    Equivalently: as many attributes as elements, every value a
-    singleton, no two values equal.  These are the only 0/1 matrices
-    with linearly independent spanning columns.
-    """
-    masks = s.masks.values()
-    return (
-        len(masks) == len(s.universe)
-        and all(mask.bit_count() == 1 for mask in masks)
-        and len(set(masks)) == len(masks)
-    )
-
-
-AntichainProfile = namedtuple("AntichainProfile", "injective all_minimal all_maximal")
-
-
-def antichain_profile(s: SoftSet) -> AntichainProfile:
-    """Shape report used by the similarity-equals-one hypotheses.
-
-    all_minimal asks that tau be exactly its own minimal family, so an
-    empty value in tau fails it (the minimal family never contains the
-    empty set); all_maximal dually rejects a full-universe value.
-    """
-    fam = set(s.masks.values())
-    return AntichainProfile(
-        injective=len(fam) == len(s.attributes),
-        all_minimal=len(minimal_masks(fam)) == len(fam),
-        all_maximal=len(minimal_masks({s.full_mask ^ b for b in fam})) == len(fam),
-    )
 
 
 class ConjectureProbe(namedtuple(

@@ -5,13 +5,14 @@ document shape every soft-set-consuming command accepts, so commands
 compose through pipes with `-` standing for standard input.  Output is
 deterministic for fixed argv, inputs, and seed.
 
-Exit codes: 0 success, 1 domain or input-data error, 2 usage error.
+Exit codes: 0 success, 1 domain, input-data or output error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import namedtuple
 from importlib import import_module
@@ -52,6 +53,8 @@ def _read(path: str):
     source = "stdin" if path == "-" else path
     try:
         if path == "-":
+            if sys.stdin is None:
+                raise OSError("closed at start")
             text = sys.stdin.read()
         else:
             with open(path, "r", encoding="utf-8") as handle:
@@ -275,13 +278,16 @@ def main(argv: list[str] | None = None) -> int:
     except SoftSetError as exc:
         print(f"softset: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(_dumps(value))
-        return 0
-    try:  # names the stream's encoding cannot carry, such as a lone surrogate
-        sys.stdout.write("".join(line + "\n" for line in lines))
-    except UnicodeEncodeError as exc:
+    text = _dumps(value) + "\n" if args.json else "".join(line + "\n" for line in lines)
+    try:  # a stream closed at start, a reader gone, or a name the encoding cannot carry
+        if sys.stdout is None:
+            raise OSError("closed at start")
+        print(text, end="", flush=True)
+    except (OSError, ValueError) as exc:  # UnicodeEncodeError is a ValueError
         print(f"softset: cannot write output: {exc}", file=sys.stderr)
+        if isinstance(exc, OSError) and sys.stdout is not None:
+            # the exit flush then drops what is left (the signal docs' note on SIGPIPE)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0
 

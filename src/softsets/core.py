@@ -374,16 +374,6 @@ def _require_same_universe(s: SoftSet, f: SoftSet) -> None:
         )
 
 
-def minimal_masks(fam: set[int]) -> list[int]:
-    """Inclusion-minimal nonzero masks of fam.  A proper subset has fewer bits,
-    so in bit-count order each mask is tested only against those found."""
-    found: list[int] = []
-    for b in sorted(fam, key=int.bit_count):
-        if b and all(c | b != b for c in found):
-            found.append(b)
-    return found
-
-
 def soft_set_to_document(s: SoftSet) -> dict:
     """JSON-ready document; value subsets are listed in universe order."""
     universe = s.universe

@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .core import (ApproxKind, SoftSet, SoftSetError, UnknownAttribute, _name_tuple, _repr,
-                   _require_same_universe, minimal_masks)
+                   _require_same_universe)
 
 __all__ = [
     "CorrectnessReport",
@@ -110,6 +110,16 @@ def relate(s: SoftSet, f: SoftSet, kind: ApproxKind) -> bool:
         if not _covers(a, b) or (back is not None and _covers(b, a) is not back):
             return False
     return True
+
+
+def minimal_masks(fam: set[int]) -> list[int]:
+    """Inclusion-minimal nonzero masks of fam.  A proper subset has fewer bits,
+    so in bit-count order each mask is tested only against those found."""
+    found: list[int] = []
+    for b in sorted(fam, key=int.bit_count):
+        if b and all(c | b != b for c in found):
+            found.append(b)
+    return found
 
 
 def min_family(s: SoftSet) -> frozenset[frozenset[str]]:

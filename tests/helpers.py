@@ -20,12 +20,14 @@ from softsets import SoftSet
 UNIVERSES = (("e1",), ("e1", "e2"), ("e1", "e2", "e3"))
 
 
-def fresh_python(*argv: str, text: bool = True, **env: str) -> subprocess.CompletedProcess:
+def fresh_python(*argv: str, text: bool = True, stdout=subprocess.PIPE,
+                 **env: str) -> subprocess.CompletedProcess:
     """Run a new interpreter on argv, with env added to the environment, that
-    imports softsets from this tree; output is str if text, else bytes."""
+    imports softsets from this tree; output is str if text, else bytes, and
+    stdout is captured unless another target is given."""
     env = dict(os.environ, PYTHONPATH=str(Path(softsets.__file__).parents[1]), **env)
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=text,
-                          env=env, check=False)
+    return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          text=text, env=env, check=False)
 
 
 # arbitrary JSON values, small enough to draw by the hundred

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -321,6 +322,13 @@ class TestFailureModes:
         assert err.startswith("softset: ") and message in err
         assert err.count("\n") == 1
 
+    def test_closed_stdin_is_a_one_line_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", None)  # how Python starts with descriptor 0 closed
+        code, out, err = run(capsys, "show", "-")
+        assert (code, out) == (1, "")
+        assert err.startswith("softset: cannot read stdin: ")
+        assert err.count("\n") == 1
+
     def test_deeply_nested_flag_is_a_one_line_error(self, capsys, tmp_path):
         mpath = tmp_path / "m.json"
         mpath.write_text("[[1]]")
@@ -501,6 +509,32 @@ def test_output_the_stream_cannot_encode_is_one_error_line(doc_path, encoding, e
     assert len(done.stderr.splitlines()) == 1
     as_json = helpers.fresh_python(*command, "--json", text=False, PYTHONIOENCODING=encoding)
     assert as_json.returncode == 0 and as_json.stderr == b""
+
+
+# a stand-in for `exec >&-`: close descriptor 1, then run the rest of argv
+_CLOSE_STDOUT = ("import os, sys; os.close(1); "
+                 "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("style", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("stream", ["broken-pipe", "closed"])
+def test_output_nobody_can_take_is_one_error_line(f_path, stream, style, unbuffered):
+    command = ["-m", "softsets.cli", "show", f_path, *style]
+    if stream == "closed":
+        done = helpers.fresh_python("-c", _CLOSE_STDOUT, *command,
+                                    PYTHONUNBUFFERED=unbuffered)
+    else:  # the read end is closed before the child starts, so every write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = helpers.fresh_python(*command, stdout=write_end,
+                                        PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr.startswith("softset: cannot write output: ")
+    assert len(done.stderr.splitlines()) == 1
 
 
 def test_cli_imports_only_the_standard_library():

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -659,16 +660,16 @@ def test_package_exports_are_pinned():
     import softsets
 
     assert sorted(softsets.__all__) == [
-        "AntichainProfile", "ApproxKind", "ConjectureProbe", "CorrectnessReport",
+        "ApproxKind", "ConjectureProbe", "CorrectnessReport",
         "DimensionMismatch", "DuplicateAttribute", "DuplicateElement", "EmptyDenominator",
         "InvalidValue", "MAX_PERMUTED_ATTRIBUTES", "MissingValue", "RelationViolation",
         "SoftSet", "SoftSetError", "TooManyAttributes", "UniverseMismatch",
         "UnknownAttribute", "UnknownElement",
-        "antichain_profile", "check_relation_correctness", "complement",
+        "check_relation_correctness", "complement",
         "drop_attribute", "duplicate_attribute", "equal",
         "equivalent", "externally_approximates", "gravity",
         "gravity_domination", "internally_approximates", "intersection",
-        "is_permutation_basis", "max_family", "max_similarity_over_orderings",
+        "max_family", "max_similarity_over_orderings",
         "min_family", "oracle_best_similarity", "oracle_complement", "oracle_external",
         "oracle_internal", "oracle_intersection", "oracle_maximal", "oracle_minimal",
         "oracle_product", "oracle_relation", "oracle_similarity", "oracle_union",
@@ -677,6 +678,8 @@ def test_package_exports_are_pinned():
         "soft_set_from_document", "soft_set_to_document", "union",
     ]
     assert all(hasattr(softsets, name) for name in softsets.__all__)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [name for name in softsets.__all__ if f"`{name}`" not in readme] == []
 
 
 def test_package_exports_are_the_modules_exports_in_order():
