@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 domain, input-data or output error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -259,12 +260,32 @@ def _resolve(call: str):
     return attrgetter(attr)(home)
 
 
+def _write(text: str) -> int:
+    """Write text to stdout and flush it: 0, or 1 with one error line."""
+    try:  # a stream closed at start, a reader gone, or a name the encoding cannot carry
+        if sys.stdout is None:
+            raise OSError("closed at start")
+        print(text, end="", flush=True)
+    except (OSError, ValueError) as exc:  # UnicodeEncodeError is a ValueError
+        print(f"softset: cannot write output: {exc}", file=sys.stderr)
+        if isinstance(exc, OSError) and sys.stdout is not None:
+            # the exit flush then drops what is left (the signal docs' note on SIGPIPE)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    stdout, sys.stdout = sys.stdout, io.StringIO()  # what argparse prints goes out through _write
     try:
         args = _build_parser(argv).parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else int(exc.code)
+    except SystemExit as exc:  # help, or a usage error already on stderr
+        args, code = None, 0 if exc.code in (0, None) else int(exc.code)
+    finally:
+        printed, sys.stdout = sys.stdout.getvalue(), stdout
+    if args is None:  # argparse prints to stdout only help, which exits 0
+        return _write(printed) if printed else code
     command = _COMMANDS[args.command]
     docs = {}  # each path parsed once, so two `-` operands see the same document
     try:
@@ -278,18 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     except SoftSetError as exc:
         print(f"softset: {exc}", file=sys.stderr)
         return 1
-    text = _dumps(value) + "\n" if args.json else "".join(line + "\n" for line in lines)
-    try:  # a stream closed at start, a reader gone, or a name the encoding cannot carry
-        if sys.stdout is None:
-            raise OSError("closed at start")
-        print(text, end="", flush=True)
-    except (OSError, ValueError) as exc:  # UnicodeEncodeError is a ValueError
-        print(f"softset: cannot write output: {exc}", file=sys.stderr)
-        if isinstance(exc, OSError) and sys.stdout is not None:
-            # the exit flush then drops what is left (the signal docs' note on SIGPIPE)
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    return 0
+    return _write(_dumps(value) + "\n" if args.json else "".join(line + "\n" for line in lines))
 
 
 def run() -> None:

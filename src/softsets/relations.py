@@ -139,25 +139,10 @@ def max_family(s: SoftSet) -> frozenset[frozenset[str]]:
 #
 # Each helper returns a soft set with the same universe and the same value
 # family.  They are the moves that make two soft sets "the same" up to
-# attribute bookkeeping.  Each move is written once, on a names tuple and
-# the masks in that order: the helpers check their arguments before it,
-# random_equivalent_variant chains moves and builds one soft set after them.
-
-
-def _rename(names: tuple, masks, suffix: str) -> tuple:
-    return tuple([f"{a}{suffix}" for a in names]), masks
-
-
-def _duplicate(names: tuple, masks: tuple, attribute: str, new_name: str) -> tuple:
-    return (*names, new_name), (*masks, masks[names.index(attribute)])
-
-
-def _drop(names: tuple, masks: tuple, j: int) -> tuple:
-    return names[:j] + names[j + 1:], masks[:j] + masks[j + 1:]
-
-
-def _reorder(names: tuple, masks: tuple, order: Sequence[int]) -> tuple:
-    return tuple(map(names.__getitem__, order)), tuple(map(masks.__getitem__, order))
+# attribute bookkeeping.  The helpers check their arguments and make one
+# move each; random_equivalent_variant makes the same moves inline, on a
+# names tuple and the masks in that order, with its draws written in place,
+# and builds one soft set after them.
 
 
 def rename_attributes(s: SoftSet, suffix: str) -> SoftSet:
@@ -165,15 +150,15 @@ def rename_attributes(s: SoftSet, suffix: str) -> SoftSet:
     _name_tuple((suffix,), "suffix")
     if not suffix:
         return s
-    return SoftSet._new(s.universe, *_rename(s.attributes, s.masks.values(), suffix))
+    return SoftSet._new(s.universe, tuple([f"{a}{suffix}" for a in s.attributes]),
+                        s.masks.values())
 
 
 def duplicate_attribute(s: SoftSet, attribute: str, new_name: str) -> SoftSet:
     """Add new_name carrying the same value as attribute."""
-    s.mask(attribute)  # UnknownAttribute unless s has it
+    copied = s.mask(attribute)  # UnknownAttribute unless s has it
     _name_tuple((new_name,), "new_name")
-    moved = _duplicate(s.attributes, tuple(s.masks.values()), attribute, new_name)
-    return SoftSet._new(s.universe, *moved)
+    return SoftSet._new(s.universe, (*s.attributes, new_name), (*s.masks.values(), copied))
 
 
 def drop_attribute(s: SoftSet, attribute: str) -> SoftSet:
@@ -186,7 +171,8 @@ def drop_attribute(s: SoftSet, attribute: str) -> SoftSet:
     if masks.count(gone) < 2:
         raise SoftSetError(f"dropping {attribute!r} would remove "
                            f"{sorted(s.names(gone))!r} from the family")
-    return SoftSet._new(s.universe, *_drop(s.attributes, masks, s.attributes.index(attribute)))
+    j, names = s.attributes.index(attribute), s.attributes
+    return SoftSet._new(s.universe, names[:j] + names[j + 1:], masks[:j] + masks[j + 1:])
 
 
 def reorder_attributes(s: SoftSet, order: Sequence[str]) -> SoftSet:
@@ -197,29 +183,9 @@ def reorder_attributes(s: SoftSet, order: Sequence[str]) -> SoftSet:
             f"{list(order)!r} is not a permutation of {list(s.attributes)!r}"
         )
     positions = list(map(s.attributes.index, order))
-    return SoftSet._new(s.universe, *_reorder(s.attributes, tuple(s.masks.values()), positions))
-
-
-def _below(bits: Callable[[int], int], n: int) -> int:
-    """A draw from range(n), n >= 1, made as random.Random makes it for
-    randrange(n): bits(n.bit_length()), drawn again while it is n or more."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
-def _permutation(bits: Callable[[int], int], n: int) -> list[int]:
-    """range(n) in the order random.Random's sample(range(n), n) gives: for
-    j from n down to 1, take pool[_below(bits, j)] and fill its place from
-    pool[j - 1].  sample keeps such a pool whenever it takes all n."""
-    pool, order = list(range(n)), []
-    for j in range(n, 0, -1):
-        i = _below(bits, j)
-        order.append(pool[i])
-        pool[i] = pool[j - 1]
-    return order
+    masks = tuple(s.masks.values())
+    return SoftSet._new(s.universe, tuple(map(s.attributes.__getitem__, positions)),
+                        map(masks.__getitem__, positions))
 
 
 def random_equivalent_variant(s: SoftSet, rng: random.Random) -> SoftSet:
@@ -228,33 +194,64 @@ def random_equivalent_variant(s: SoftSet, rng: random.Random) -> SoftSet:
     Every step preserves the universe and the value family, so the
     result is always equivalent to s.  Steps that need material to work
     on (an attribute to copy, a duplicated value to drop, two columns
-    to swap) fall through quietly when s is too small; if all of them
-    do, s itself comes back.  rng is read only through getrandbits, in
-    the order and widths that randint, randrange, choice and sample use
-    on a random.Random: one to three moves as randint(1, 3), each move
-    as randrange(4), a suffix as randrange(1000), a name or a carrier as
-    choice, and an order as sample(range(n), n).
+    to swap) fall through quietly, drawing nothing more, when s is too
+    small; if all of them do, s itself comes back.  rng is read only
+    through getrandbits, in the order and widths that randint, randrange,
+    choice and sample use on a random.Random: one to three moves as
+    randint(1, 3), each move as randrange(4), a suffix as
+    randrange(1000), a name or a carrier as choice, and an order as
+    sample(range(n), n).  Each of these is random.Random's own step for
+    a draw below n, written in place: getrandbits(n.bit_length()),
+    drawn again while it is n or more.
     """
-    bits = rng.getrandbits
-    names = attributes = s.attributes
-    masks = tuple(s.masks.values())
-    for _ in range(1 + _below(bits, 3)):
-        move = _below(bits, 4)
+    return _variant(s, s.attributes, tuple(s.masks.values()), rng.getrandbits)
+
+
+def _variant(s: SoftSet, attributes: tuple, masks: tuple, bits: Callable[[int], int]) -> SoftSet:
+    """random_equivalent_variant's loop, on s's attributes and masks as the
+    caller read them: the probers read each operand once, not once a trial."""
+    names = attributes
+    count = bits(2)  # randint(1, 3) is 1 + a draw below 3
+    while count == 3:
+        count = bits(2)
+    for _ in range(count + 1):
+        move = bits(3)  # randrange(4): (4).bit_length() is 3
+        while move > 3:
+            move = bits(3)
         if move == 0 and names:
-            names, masks = _rename(names, masks, f"~{_below(bits, 1000)}")
+            r = bits(10)
+            while r >= 1000:
+                r = bits(10)
+            names = tuple([f"{a}~{r}" for a in names])
         elif move == 1 and names:  # under the first free name stem+k
-            stem, k, taken = names[_below(bits, len(names))], 1, set(names)
-            while f"{stem}+{k}" in taken:
+            n = len(names)
+            i = bits(n.bit_length())
+            while i >= n:
+                i = bits(n.bit_length())
+            stem, k = names[i], 1
+            while f"{stem}+{k}" in names:
                 k += 1
-            names, masks = _duplicate(names, masks, stem, f"{stem}+{k}")
+            names, masks = (*names, f"{stem}+{k}"), (*masks, masks[i])
         elif move == 2 and len(set(masks)) != len(masks):  # drop a repeat's carrier
             groups: dict[int, list[int]] = {}
             for j, w in enumerate(masks):
                 groups.setdefault(w, []).append(j)
             droppable = [j for group in groups.values() if len(group) > 1 for j in group]
-            names, masks = _drop(names, masks, droppable[_below(bits, len(droppable))])
-        elif move == 3 and len(names) > 1:
-            names, masks = _reorder(names, masks, _permutation(bits, len(names)))
+            n = len(droppable)
+            i = bits(n.bit_length())
+            while i >= n:
+                i = bits(n.bit_length())
+            j = droppable[i]  # in the order the groups were first seen
+            names, masks = names[:j] + names[j + 1:], masks[:j] + masks[j + 1:]
+        elif move == 3 and len(names) > 1:  # sample's pool walk, pairs moved whole
+            pool, order = list(zip(names, masks)), []
+            for n in range(len(pool), 0, -1):
+                i = bits(n.bit_length())
+                while i >= n:
+                    i = bits(n.bit_length())
+                order.append(pool[i])
+                pool[i] = pool[n - 1]
+            names, masks = zip(*order)
     return s if names is attributes else SoftSet._new(s.universe, names, masks)
 
 
@@ -268,9 +265,9 @@ def rewrite_pairs(s: SoftSet, f: SoftSet, trials: int, seed: int,
         raise TypeError(f"{what} must be an int, not bool")
     if trials < 1:
         raise SoftSetError(f"{what} must be at least 1")
-    rng = random.Random(seed)
-    return ((random_equivalent_variant(s, rng), random_equivalent_variant(f, rng))
-            for _ in range(trials))
+    bits = random.Random(seed).getrandbits
+    sa, sm, fa, fm = s.attributes, tuple(s.masks.values()), f.attributes, tuple(f.masks.values())
+    return ((_variant(s, sa, sm, bits), _variant(f, fa, fm, bits)) for _ in range(trials))
 
 
 RelationViolation = namedtuple("RelationViolation",

@@ -516,25 +516,47 @@ _CLOSE_STDOUT = ("import os, sys; os.close(1); "
                  "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])")
 
 
+def _unwritable(stream, unbuffered, *argv):
+    """softset run on argv with stdout closed at start or on a pipe nobody reads."""
+    command = ["-m", "softsets.cli", *argv]
+    if stream == "closed":
+        return helpers.fresh_python("-c", _CLOSE_STDOUT, *command, PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()  # the read end is closed first, so every write fails
+    os.close(read_end)
+    try:
+        return helpers.fresh_python(*command, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("style", [[], ["--json"]], ids=["text", "json"])
 @pytest.mark.parametrize("stream", ["broken-pipe", "closed"])
 def test_output_nobody_can_take_is_one_error_line(f_path, stream, style, unbuffered):
-    command = ["-m", "softsets.cli", "show", f_path, *style]
-    if stream == "closed":
-        done = helpers.fresh_python("-c", _CLOSE_STDOUT, *command,
-                                    PYTHONUNBUFFERED=unbuffered)
-    else:  # the read end is closed before the child starts, so every write fails
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            done = helpers.fresh_python(*command, stdout=write_end,
-                                        PYTHONUNBUFFERED=unbuffered)
-        finally:
-            os.close(write_end)
+    done = _unwritable(stream, unbuffered, "show", f_path, *style)
     assert done.returncode == 1
     assert done.stderr.startswith("softset: cannot write output: ")
     assert len(done.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["show", "--help"]], ids=" ".join)
+@pytest.mark.parametrize("stream", ["broken-pipe", "closed"])
+def test_help_nobody_can_take_is_one_error_line(stream, argv, unbuffered):
+    # argparse prints help itself; it must go through the same guarded write
+    done = _unwritable(stream, unbuffered, *argv)
+    assert done.returncode == 1
+    assert done.stderr.startswith("softset: cannot write output: ")
+    assert len(done.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, usage", [(["--help"], "usage: softset [-h] command"),
+                                         (["show", "--help"], "usage: softset show [-h]")],
+                         ids=["--help", "show --help"])
+def test_help_goes_to_stdout(argv, usage):
+    done = helpers.fresh_python("-m", "softsets.cli", *argv)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith(usage)
 
 
 def test_cli_imports_only_the_standard_library():

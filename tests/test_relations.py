@@ -42,7 +42,6 @@ from softsets import (
     union,
 )
 from helpers import fam
-from softsets.relations import _below, _permutation
 
 
 class TestEqualAndEquivalent:
@@ -335,19 +334,65 @@ def test_fresh_names_are_free_after_a_rename():
     assert variant == by_helpers and not rng.script
 
 
+def test_a_drop_picks_its_carrier_in_the_order_groups_are_first_seen():
+    # masks (A, B, A, B) give the carriers [0, 2, 1, 3], not index order: pick 2 drops q
+    s = SoftSet(("a", "b"), ("p", "q", "r", "s"),
+                {"p": {"a"}, "q": {"b"}, "r": {"a"}, "s": {"b"}})
+    rng = ScriptedRng([(2, 0),  # randint(1, 3): one move
+                       (3, 2),  # move 2
+                       (3, 5), (3, 2)])  # choice among 4 carriers: 5 is drawn again
+    variant = random_equivalent_variant(s, rng)
+    assert variant.attributes == ("p", "r", "s")
+    assert variant == drop_attribute(s, "q") and not rng.script
+
+
+def test_a_reorder_walks_the_pool_as_sample_does():
+    s = SoftSet(("a", "b"), ("x", "y", "z"), {"x": {"a"}, "y": {"b"}, "z": set()})
+    rng = ScriptedRng([(2, 0),  # randint(1, 3): one move
+                       (3, 3),  # move 3
+                       (2, 3), (2, 2),  # pool [x, y, z]: 3 is drawn again, take z
+                       (2, 0),  # pool [x, y]: take x
+                       (1, 0)])  # pool [y]: take y
+    variant = random_equivalent_variant(s, rng)
+    assert variant.attributes == ("z", "x", "y")
+    assert variant == reorder_attributes(s, ("z", "x", "y")) and not rng.script
+
+
+def _reference_variant(s, rng):
+    """random_equivalent_variant written with random.Random's own methods
+    and the four public rewrite helpers."""
+    v = s
+    for _ in range(rng.randint(1, 3)):
+        move, names = rng.randrange(4), v.attributes
+        if move == 0 and names:
+            v = rename_attributes(v, f"~{rng.randrange(1000)}")
+        elif move == 1 and names:
+            stem, k = rng.choice(names), 1
+            while f"{stem}+{k}" in names:
+                k += 1
+            v = duplicate_attribute(v, stem, f"{stem}+{k}")
+        elif move == 2 and len(set(v.masks.values())) != len(names):
+            groups = {}
+            for a, w in v.masks.items():
+                groups.setdefault(w, []).append(a)
+            v = drop_attribute(v, rng.choice([a for g in groups.values() if len(g) > 1 for a in g]))
+        elif move == 3 and len(names) > 1:
+            v = reorder_attributes(v, [names[i] for i in rng.sample(range(len(names)), len(names))])
+    return v
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**64), st.integers(1, 64))
-def test_draws_are_those_of_random_random(seed, n):
-    # the variant's draws, made from getrandbits, against the methods they
-    # replace: same values, and the generators end in the same state
+@given(helpers.soft_sets(max_width=12), st.integers(0, 2**64))
+def test_draws_are_those_of_random_random(s, seed):
+    # the variant, drawn from getrandbits alone, against one built from the
+    # methods those draws stand for: the same variants, the same operand
+    # returned, and the generators end in the same state; chained, so the
+    # width grows past the drawn one
     ours, theirs = random.Random(seed), random.Random(seed)
-    bits, seq = ours.getrandbits, [f"a{i}" for i in range(n)]
-    assert 1 + _below(bits, 3) == theirs.randint(1, 3)
-    assert _below(bits, 4) == theirs.randrange(4)
-    assert _below(bits, 1000) == theirs.randrange(1000)
-    assert _below(bits, n) == theirs.randrange(n)
-    assert seq[_below(bits, n)] == theirs.choice(seq)
-    assert _permutation(bits, n) == theirs.sample(range(n), n)
+    for _ in range(8):
+        v, w = random_equivalent_variant(s, ours), _reference_variant(s, theirs)
+        assert v == w and (v is s) == (w is s)
+        s = v
     assert ours.getstate() == theirs.getstate()
 
 
