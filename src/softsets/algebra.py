@@ -33,19 +33,19 @@ def _pairwise(s: SoftSet, f: SoftSet, universe, left, right, op) -> SoftSet:
 def complement(s: SoftSet) -> SoftSet:
     """Bitwise NOT; same universe, same attributes, values flipped against X."""
     full = s.full_mask
-    return SoftSet._new(s.universe, s.attributes, [full ^ mask for mask in s.masks.values()])
+    return SoftSet._new(s.universe, s.attributes, [full ^ mask for mask in s.masks])
 
 
 def union(s: SoftSet, f: SoftSet) -> SoftSet:
     """Elementwise max over all left-column/right-column pairs."""
     _require_same_universe(s, f)
-    return _pairwise(s, f, s.universe, s.masks.values(), f.masks.values(), or_)
+    return _pairwise(s, f, s.universe, s.masks, f.masks, or_)
 
 
 def intersection(s: SoftSet, f: SoftSet) -> SoftSet:
     """Elementwise min over all left-column/right-column pairs."""
     _require_same_universe(s, f)
-    return _pairwise(s, f, s.universe, s.masks.values(), f.masks.values(), and_)
+    return _pairwise(s, f, s.universe, s.masks, f.masks, and_)
 
 
 def product(s: SoftSet, f: SoftSet) -> SoftSet:
@@ -64,6 +64,6 @@ def product(s: SoftSet, f: SoftSet) -> SoftSet:
     universe = tuple(_pair_name(u, v) for u in x for v in x)
     # inserting m-1 zero digits between the digits of a moves bit k to bit k*m
     gap = "0" * (m - 1)
-    spread = [int(gap.join(bin(a | 1 << m)[3:]) or "0", 2) for a in s.masks.values()]
+    spread = [int(gap.join(bin(a | 1 << m)[3:]) or "0", 2) for a in s.masks]
     check_names(universe, ())  # pair labels can collide, as names can
-    return _pairwise(s, f, universe, spread, f.masks.values(), mul)
+    return _pairwise(s, f, universe, spread, f.masks, mul)

@@ -55,13 +55,13 @@ def similarity(s: SoftSet, f: SoftSet) -> Fraction:
     makes the score symmetric.
     """
     m, n = _shape(s, f)
-    pairs = zip_longest(s.masks.values(), f.masks.values(), fillvalue=0)
+    pairs = zip_longest(s.masks, f.masks, fillvalue=0)
     return Fraction(m * n - sum(map(int.bit_count, starmap(xor, pairs))), m * n)
 
 
 def gravity(s: SoftSet) -> dict[str, int]:
     """Column sums of the matrix, keyed by attribute: the size of each value."""
-    return {a: mask.bit_count() for a, mask in s.masks.items()}
+    return dict(zip(s.attributes, map(int.bit_count, s.masks)))
 
 
 def max_similarity_over_orderings(s: SoftSet, f: SoftSet) -> Fraction:
@@ -81,8 +81,7 @@ def max_similarity_over_orderings(s: SoftSet, f: SoftSet) -> Fraction:
         raise TooManyAttributes(
             f"{p} permutable attributes exceed the bound of {MAX_PERMUTED_ATTRIBUTES}"
         )
-    w = list(wide.masks.values())
-    c = list(narrow.masks.values())
+    w, c = wide.masks, narrow.masks
     # agreements in the padded tail do not move with the permutation
     tail = sum(m - x.bit_count() for x in w[p:])
     score = [[m - (x ^ y).bit_count() for y in c] for x in w[:p]]

@@ -114,7 +114,7 @@ def _subset_str(subset: frozenset[str]) -> str:
 
 def _soft_set(s: SoftSet):
     lines = ["universe:   " + ", ".join(s.universe), "attributes: " + ", ".join(s.attributes)]
-    lines += [f"{a} -> {_subset_str(s.value(a))}" for a in s.attributes]
+    lines += [f"{a} -> {_subset_str(value)}" for a, value in s.values.items()]
     return lines, s
 
 

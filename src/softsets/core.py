@@ -7,8 +7,9 @@ attribute order fixes matrix columns, and two soft sets interoperate
 only when their universes agree element for element and position for
 position.
 
-Each value is stored as one int mask, bit i standing for universe[i];
-names become indices once, in the constructor.  Masks are the only form
+Each value is stored as one int mask, bit i standing for universe[i],
+and the masks as one tuple in attribute order: the matrix's columns.
+Names become indices once, in the constructor.  Masks are the only form
 the kernels read.  The matrix and the JSON document are built from the
 masks on demand, at the boundary.  A value's name set is built on its
 first request and kept, at most one per distinct value, so tau and the
@@ -28,7 +29,6 @@ from collections.abc import Collection, Iterable, Mapping, Sequence
 from enum import Enum
 from itertools import chain, compress
 from operator import countOf
-from types import MappingProxyType
 
 __all__ = [
     "ApproxKind",
@@ -117,8 +117,10 @@ def _first_repeat(names: Iterable[str]) -> str:
 
 def _stray(name, element, rest: Iterable, index: dict) -> SoftSetError:
     """The error for a value whose element is not in the universe; the rest
-    of the value is read for more strays, or for an unhashable element."""
+    of the value is read for more strays, or for an unhashable element.
+    A value with no length, an iterator, is no collection whatever it yields."""
     try:
+        len(rest)
         stray = {element, *rest} - index.keys()
     except TypeError as exc:
         return InvalidValue(f"value of {name!r} must be a collection of universe elements: {exc}")
@@ -175,11 +177,11 @@ def check_names(universe: tuple[str, ...], attributes: tuple[str, ...]) -> dict[
 class SoftSet:
     """An ordered finite universe plus one subset of it per attribute.
 
-    Stored as the two name tuples and an attribute -> int mask dict, bit i
-    of a mask standing for universe[i], plus the name sets `names` keeps
-    once asked, which equality and hashing ignore.  The kernel modules
-    work through `masks`, `mask`, `full_mask`, `names` and the unchecked
-    `_new`.
+    Stored as the two name tuples and a tuple of int masks in attribute
+    order, the matrix's columns, bit i of a mask standing for universe[i],
+    plus the name sets `names` keeps once asked, which equality and
+    hashing ignore.  The kernel modules work through `masks`, `mask`,
+    `full_mask`, `names` and the unchecked `_new`.
     """
 
     __slots__ = ("_universe", "_attributes", "_masks", "_names")
@@ -196,7 +198,7 @@ class SoftSet:
         if extra:
             raise UnknownAttribute("values given for unknown attributes "
                                    f"{_repr(_sorted(extra))}")
-        masks = {}
+        masks = []
         for name in attributes:
             if name not in values:
                 raise MissingValue(f"attribute {name!r} has no value")
@@ -217,24 +219,23 @@ class SoftSet:
             except TypeError as exc:  # not iterable, an unhashable element, or no length
                 raise InvalidValue(f"value of {name!r} must be a collection of "
                                    f"universe elements: {exc}") from None
-            masks[name] = mask
-        self._universe, self._attributes, self._masks = universe, attributes, masks
+            masks.append(mask)
+        self._universe, self._attributes, self._masks = universe, attributes, tuple(masks)
 
     @classmethod
     def _new(cls, universe: tuple, attributes: tuple, masks: Iterable[int]) -> "SoftSet":
         """Build from checked parts, masks in attribute order.  Only the names
         are checked, because derived ones (pair labels, copies) can collide."""
-        s = object.__new__(cls)
-        s._universe, s._attributes = universe, attributes
-        s._masks = dict(zip(attributes, masks))
-        if len(s._masks) != len(attributes):
+        if len(set(attributes)) != len(attributes):
             raise DuplicateAttribute(f"attribute {_first_repeat(attributes)!r} repeats")
+        s = object.__new__(cls)
+        s._universe, s._attributes, s._masks = universe, attributes, tuple(masks)
         return s
 
     @property
-    def masks(self) -> Mapping[str, int]:
-        """Read-only attribute -> mask map, in attribute order."""
-        return MappingProxyType(self._masks)
+    def masks(self) -> tuple[int, ...]:
+        """The masks in attribute order: the matrix's columns."""
+        return self._masks
 
     @property
     def full_mask(self) -> int:
@@ -243,8 +244,8 @@ class SoftSet:
 
     def mask(self, attribute: str) -> int:
         try:
-            return self._masks[attribute]
-        except (KeyError, TypeError):  # TypeError: an unhashable name
+            return self._masks[self._attributes.index(attribute)]
+        except ValueError:
             raise UnknownAttribute(f"no attribute {_repr(attribute)}") from None
 
     def names(self, mask: int) -> frozenset[str]:
@@ -259,7 +260,7 @@ class SoftSet:
         try:
             kept = self._names  # distinct value mask -> its set, or None until built
         except AttributeError:  # first request: neither __init__ nor _new pays
-            kept = self._names = dict.fromkeys(self._masks.values())
+            kept = self._names = dict.fromkeys(self._masks)
         exact = type(mask) is int  # 1.0 or True would hash as the kept mask 1
         found = kept.get(mask) if exact else None
         if found is None:  # only a miss pays for the range check
@@ -282,19 +283,19 @@ class SoftSet:
     @property
     def values(self) -> dict[str, frozenset[str]]:
         """Value map as a fresh dict, keyed in attribute order."""
-        return {a: self.names(mask) for a, mask in self._masks.items()}
+        return {a: self.names(mask) for a, mask in zip(self._attributes, self._masks)}
 
     def value(self, attribute: str) -> frozenset[str]:
         return self.names(self.mask(attribute))
 
     def tau(self) -> frozenset[frozenset[str]]:
         """The deduplicated family of all value subsets, empty set included."""
-        return frozenset(map(self.names, set(self._masks.values())))
+        return frozenset(map(self.names, set(self._masks)))
 
     def to_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Row tuples of int 0/1: rows follow universe order, columns attribute order."""
         m = len(self._universe)
-        columns = [_column(mask, m) for mask in self._masks.values()]
+        columns = [_column(mask, m) for mask in self._masks]
         return tuple(zip(*columns)) if columns else ((),) * m
 
     @classmethod
@@ -345,9 +346,8 @@ class SoftSet:
         Columns compare as their 0/1 bytes read from row 0 down.
         """
         m = len(self._universe)
-        masks = self._masks
-        order = sorted(masks, key=lambda a: (_column(masks[a], m), a))
-        return self._new(self._universe, tuple(order), map(masks.__getitem__, order))
+        columns = sorted(zip(self._masks, self._attributes), key=lambda c: (_column(c[0], m), c[1]))
+        return self._new(self._universe, tuple(a for _, a in columns), [w for w, _ in columns])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SoftSet):
@@ -359,7 +359,7 @@ class SoftSet:
         )
 
     def __hash__(self) -> int:
-        return hash((self._universe, self._attributes, tuple(self._masks.values())))
+        return hash((self._universe, self._attributes, self._masks))
 
     def __repr__(self) -> str:
         doc = soft_set_to_document(self)
@@ -382,7 +382,7 @@ def soft_set_to_document(s: SoftSet) -> dict:
         "universe": list(universe),
         "attributes": list(s.attributes),
         "values": {
-            a: list(compress(universe, _column(mask, m))) for a, mask in s._masks.items()
+            a: list(compress(universe, _column(mask, m))) for a, mask in zip(s.attributes, s.masks)
         },
     }
 

@@ -33,7 +33,7 @@ __all__ = [
 def oracle_complement(s: SoftSet) -> SoftSet:
     x = frozenset(s.universe)
     return SoftSet(
-        s.universe, s.attributes, {a: x - s.value(a) for a in s.attributes}
+        s.universe, s.attributes, {a: x - v for a, v in s.values.items()}
     )
 
 
@@ -41,7 +41,8 @@ def _oracle_pairwise(s: SoftSet, f: SoftSet, op: Callable) -> SoftSet:
     """One value op(s(a), f(b)) per attribute pair, labelled "(a,b)"."""
     _require_same_universe(s, f)
     pairs = [(a, b) for a in s.attributes for b in f.attributes]
-    values = {f"({a},{b})": op(s.value(a), f.value(b)) for a, b in pairs}
+    sv, fv = s.values, f.values
+    values = {f"({a},{b})": op(sv[a], fv[b]) for a, b in pairs}
     return SoftSet(s.universe, [f"({a},{b})" for a, b in pairs], values)
 
 
@@ -57,9 +58,10 @@ def oracle_product(s: SoftSet, f: SoftSet) -> SoftSet:
     _require_same_universe(s, f)
     universe = tuple(f"({u},{v})" for u in s.universe for v in s.universe)
     attributes = tuple(f"({a},{b})" for a in s.attributes for b in f.attributes)
+    sv, fv = s.values, f.values
     values = {
         f"({a},{b})": frozenset(
-            f"({u},{v})" for u in s.value(a) for v in f.value(b)
+            f"({u},{v})" for u in sv[a] for v in fv[b]
         )
         for a in s.attributes
         for b in f.attributes
@@ -77,11 +79,12 @@ def oracle_similarity(s: SoftSet, f: SoftSet) -> Fraction:
         raise EmptyDenominator(
             "similarity needs a nonempty universe and at least one attribute"
         )
+    sv, fv = s.values, f.values
     agree = 0
     for x in s.universe:
         for j in range(n):
-            in_s = j < len(s.attributes) and x in s.value(s.attributes[j])
-            in_f = j < len(f.attributes) and x in f.value(f.attributes[j])
+            in_s = j < len(s.attributes) and x in sv[s.attributes[j]]
+            in_f = j < len(f.attributes) and x in fv[f.attributes[j]]
             if in_s == in_f:
                 agree += 1
     return Fraction(agree, m * n)

@@ -40,13 +40,13 @@ __all__ = [
 def equal(s: SoftSet, t: SoftSet) -> bool:
     """Same attribute set and identical value map; attribute order is immaterial."""
     _require_same_universe(s, t)
-    return s.masks == t.masks
+    return dict(zip(s.attributes, s.masks)) == dict(zip(t.attributes, t.masks))
 
 
 def equivalent(s: SoftSet, t: SoftSet) -> bool:
     """Equality of the value families; the only identity the labels can't disturb."""
     _require_same_universe(s, t)
-    return set(s.masks.values()) == set(t.masks.values())
+    return set(s.masks) == set(t.masks)
 
 
 def _covers(sources: set[int], targets: set[int]) -> bool:
@@ -102,7 +102,7 @@ def relate(s: SoftSet, f: SoftSet, kind: ApproxKind) -> bool:
         families, back = _KINDS[kind]
     except (KeyError, TypeError):
         raise SoftSetError(f"unknown approximation kind {_repr(kind)}") from None
-    a, b = set(s.masks.values()), set(f.masks.values())
+    a, b = set(s.masks), set(f.masks)
     for complemented in families:
         if complemented:  # v inside w iff X-w inside X-v; v full iff X-v empty
             x = s.full_mask
@@ -124,14 +124,14 @@ def minimal_masks(fam: set[int]) -> list[int]:
 
 def min_family(s: SoftSet) -> frozenset[frozenset[str]]:
     """Inclusion-minimal nonempty members of tau; the empty set never qualifies."""
-    return frozenset(map(s.names, minimal_masks(set(s.masks.values()))))
+    return frozenset(map(s.names, minimal_masks(set(s.masks))))
 
 
 def max_family(s: SoftSet) -> frozenset[frozenset[str]]:
     """Inclusion-maximal proper members of tau; the full universe never qualifies.
     Complements reverse inclusion and send full to the 0 minimal_masks skips."""
     x = s.full_mask
-    return frozenset(s.names(x ^ b) for b in minimal_masks({x ^ b for b in s.masks.values()}))
+    return frozenset(s.names(x ^ b) for b in minimal_masks({x ^ b for b in s.masks}))
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +140,9 @@ def max_family(s: SoftSet) -> frozenset[frozenset[str]]:
 # Each helper returns a soft set with the same universe and the same value
 # family.  They are the moves that make two soft sets "the same" up to
 # attribute bookkeeping.  The helpers check their arguments and make one
-# move each; random_equivalent_variant makes the same moves inline, on a
-# names tuple and the masks in that order, with its draws written in place,
-# and builds one soft set after them.
+# move each; random_equivalent_variant makes the same moves inline, on the
+# attribute tuple and the mask tuple side by side, with its draws written
+# in place, and builds one soft set after them.
 
 
 def rename_attributes(s: SoftSet, suffix: str) -> SoftSet:
@@ -150,15 +150,14 @@ def rename_attributes(s: SoftSet, suffix: str) -> SoftSet:
     _name_tuple((suffix,), "suffix")
     if not suffix:
         return s
-    return SoftSet._new(s.universe, tuple([f"{a}{suffix}" for a in s.attributes]),
-                        s.masks.values())
+    return SoftSet._new(s.universe, tuple([f"{a}{suffix}" for a in s.attributes]), s.masks)
 
 
 def duplicate_attribute(s: SoftSet, attribute: str, new_name: str) -> SoftSet:
     """Add new_name carrying the same value as attribute."""
     copied = s.mask(attribute)  # UnknownAttribute unless s has it
     _name_tuple((new_name,), "new_name")
-    return SoftSet._new(s.universe, (*s.attributes, new_name), (*s.masks.values(), copied))
+    return SoftSet._new(s.universe, (*s.attributes, new_name), (*s.masks, copied))
 
 
 def drop_attribute(s: SoftSet, attribute: str) -> SoftSet:
@@ -167,7 +166,7 @@ def drop_attribute(s: SoftSet, attribute: str) -> SoftSet:
     Dropping the last carrier of a value would shrink tau, so that is
     refused rather than silently performed.
     """
-    gone, masks = s.mask(attribute), tuple(s.masks.values())
+    gone, masks = s.mask(attribute), s.masks
     if masks.count(gone) < 2:
         raise SoftSetError(f"dropping {attribute!r} would remove "
                            f"{sorted(s.names(gone))!r} from the family")
@@ -183,9 +182,8 @@ def reorder_attributes(s: SoftSet, order: Sequence[str]) -> SoftSet:
             f"{list(order)!r} is not a permutation of {list(s.attributes)!r}"
         )
     positions = list(map(s.attributes.index, order))
-    masks = tuple(s.masks.values())
     return SoftSet._new(s.universe, tuple(map(s.attributes.__getitem__, positions)),
-                        map(masks.__getitem__, positions))
+                        map(s.masks.__getitem__, positions))
 
 
 def random_equivalent_variant(s: SoftSet, rng: random.Random) -> SoftSet:
@@ -204,13 +202,7 @@ def random_equivalent_variant(s: SoftSet, rng: random.Random) -> SoftSet:
     a draw below n, written in place: getrandbits(n.bit_length()),
     drawn again while it is n or more.
     """
-    return _variant(s, s.attributes, tuple(s.masks.values()), rng.getrandbits)
-
-
-def _variant(s: SoftSet, attributes: tuple, masks: tuple, bits: Callable[[int], int]) -> SoftSet:
-    """random_equivalent_variant's loop, on s's attributes and masks as the
-    caller read them: the probers read each operand once, not once a trial."""
-    names = attributes
+    names, masks, bits = s.attributes, s.masks, rng.getrandbits
     count = bits(2)  # randint(1, 3) is 1 + a draw below 3
     while count == 3:
         count = bits(2)
@@ -252,7 +244,7 @@ def _variant(s: SoftSet, attributes: tuple, masks: tuple, bits: Callable[[int], 
                 order.append(pool[i])
                 pool[i] = pool[n - 1]
             names, masks = zip(*order)
-    return s if names is attributes else SoftSet._new(s.universe, names, masks)
+    return s if names is s.attributes else SoftSet._new(s.universe, names, masks)
 
 
 def rewrite_pairs(s: SoftSet, f: SoftSet, trials: int, seed: int,
@@ -265,9 +257,9 @@ def rewrite_pairs(s: SoftSet, f: SoftSet, trials: int, seed: int,
         raise TypeError(f"{what} must be an int, not bool")
     if trials < 1:
         raise SoftSetError(f"{what} must be at least 1")
-    bits = random.Random(seed).getrandbits
-    sa, sm, fa, fm = s.attributes, tuple(s.masks.values()), f.attributes, tuple(f.masks.values())
-    return ((_variant(s, sa, sm, bits), _variant(f, fa, fm, bits)) for _ in range(trials))
+    rng = random.Random(seed)
+    return ((random_equivalent_variant(s, rng), random_equivalent_variant(f, rng))
+            for _ in range(trials))
 
 
 RelationViolation = namedtuple("RelationViolation",

@@ -5,6 +5,8 @@ Morgan laws live in test_analysis.py::test_every_small_pair."""
 import pytest
 
 from softsets import (
+    DuplicateAttribute,
+    DuplicateElement,
     SoftSet,
     UniverseMismatch,
     intersection,
@@ -43,6 +45,19 @@ class TestProduct:
             "(c,a)", "(c,b)", "(c,c)",
         )
         assert p.attributes == ("(m,x)", "(m,y)", "(n,x)", "(n,y)")
+
+
+def test_colliding_pair_labels_are_refused():
+    # ("x,y", "z") and ("x", "y,z") both render "(x,y,z)"; so do the rows ("a", "b,c")
+    # and ("a,b", "c") of a product
+    s = SoftSet(("a",), ("x,y", "x"), {"x,y": {"a"}, "x": ()})
+    f = SoftSet(("a",), ("z", "y,z"), {"z": (), "y,z": {"a"}})
+    for op in (union, intersection):
+        with pytest.raises(DuplicateAttribute, match=r"^attribute '\(x,y,z\)' repeats$"):
+            op(s, f)
+    g = SoftSet(("a", "a,b", "b,c", "c"), ("x",), {"x": {"a"}})
+    with pytest.raises(DuplicateElement, match=r"^universe element '\(a,b,c\)' repeats$"):
+        product(g, g)
 
 
 class TestAlgebraicIdentities:

@@ -145,9 +145,10 @@ class TestSoftSetValidation:
             ({"a": 1}, "not a mapping"),
             (["zz", ["a"]], "unhashable"),
             (iter(["a"]), "has no len"),
+            (iter(["zz"]), "has no len"),
         ],
         ids=["none", "int", "unhashable-element", "mapping", "stray-then-unhashable",
-             "iterator"],
+             "iterator", "iterator-with-stray"],
     )
     def test_value_that_is_no_collection_of_elements(self, value, message):
         with pytest.raises(InvalidValue, match=message):
@@ -277,12 +278,11 @@ class TestMatrixForm:
 
     def test_masks_are_the_matrix_columns(self, abc_f):
         # bit i stands for universe[i]: x -> {b, c} is 0b110
-        assert dict(abc_f.masks) == {"x": 0b110, "y": 0b100, "z": 0b001}
-        assert list(abc_f.masks) == list(abc_f.attributes)
+        assert abc_f.masks == (0b110, 0b100, 0b001)
         assert abc_f.mask("x") == 0b110 and abc_f.full_mask == 0b111
         assert abc_f.names(0b101) == {"a", "c"}
         with pytest.raises(TypeError):
-            abc_f.masks["x"] = 0
+            abc_f.masks[0] = 0
         with pytest.raises(UnknownAttribute):
             abc_f.mask("w")
 

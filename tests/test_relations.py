@@ -371,9 +371,9 @@ def _reference_variant(s, rng):
             while f"{stem}+{k}" in names:
                 k += 1
             v = duplicate_attribute(v, stem, f"{stem}+{k}")
-        elif move == 2 and len(set(v.masks.values())) != len(names):
+        elif move == 2 and len(set(v.masks)) != len(names):
             groups = {}
-            for a, w in v.masks.items():
+            for a, w in zip(names, v.masks):
                 groups.setdefault(w, []).append(a)
             v = drop_attribute(v, rng.choice([a for g in groups.values() if len(g) > 1 for a in g]))
         elif move == 3 and len(names) > 1:
