@@ -67,12 +67,14 @@ def gravity(s: SoftSet) -> dict[str, int]:
 def max_similarity_over_orderings(s: SoftSet, f: SoftSet) -> Fraction:
     """Best similarity over column reorderings of the narrower operand.
 
-    Column order is presentation rather than content, so the comparison
-    may shop for the best alignment.  The search permutes the narrower
-    matrix's columns (the right operand when widths tie; with equal
-    widths the choice of side cannot change the maximum), while pad
-    columns keep comparing against the wider tail.  Never below the
-    unpermuted score.
+    Only the narrower matrix's columns move (the right operand when
+    widths tie; with equal widths the choice of side cannot change the
+    maximum), over the wider operand's first p positions, p the narrower
+    width, while pad columns keep comparing against the wider tail.  The
+    wider operand's column order therefore still changes the score: over
+    universe (a, b), s = {x: {a}, y: {a, b}} against f = {m: {a, b}}
+    scores 1/4, and 3/4 with s's columns in the order (y, x).  Never
+    below the unpermuted score.
     """
     m, n = _shape(s, f)
     wide, narrow = (s, f) if len(s.attributes) >= len(f.attributes) else (f, s)

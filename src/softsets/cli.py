@@ -19,7 +19,7 @@ from collections import namedtuple
 from importlib import import_module
 from operator import attrgetter
 
-from .core import (ApproxKind, SoftSet, SoftSetError, _first_repeat,
+from .core import (ApproxKind, SoftSet, SoftSetError, _first_repeat, _repr,
                    soft_set_from_document, soft_set_to_document)
 
 __all__ = ["main", "run"]
@@ -36,7 +36,7 @@ def _loads(text: str, source: str, invalid: str):
         found = dict(pairs)
         if len(found) != len(pairs):
             key = _first_repeat(name for name, _ in pairs)
-            raise SoftSetError(f"{source} repeats the key {key!r} in one JSON object")
+            raise SoftSetError(f"{source} repeats the key {_repr(key)} in one JSON object")
         return found
 
     try:
@@ -76,8 +76,6 @@ def _echo(s: SoftSet) -> SoftSet:
 
 
 def _from_matrix(rows, universe: str, attributes: str) -> SoftSet:
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise SoftSetError("matrix input must be a JSON array of row arrays")
     universe = _loads(universe, "--universe", "--universe is not a JSON array")
     attributes = _loads(attributes, "--attributes", "--attributes is not a JSON array")
     return SoftSet.from_matrix(universe, attributes, rows)

@@ -25,6 +25,7 @@ them, and this way need no module but core.
 
 from __future__ import annotations
 
+import reprlib
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from enum import Enum
 from itertools import chain, compress
@@ -123,16 +124,17 @@ def _stray(name, element, rest: Iterable, index: dict) -> SoftSetError:
         len(rest)
         stray = {element, *rest} - index.keys()
     except TypeError as exc:
-        return InvalidValue(f"value of {name!r} must be a collection of universe elements: {exc}")
-    return UnknownElement(f"value of {name!r} contains {_repr(_sorted(stray))}, "
+        return InvalidValue(f"value of {_repr(name)} must be a collection of universe "
+                            f"elements: {exc}")
+    return UnknownElement(f"value of {_repr(name)} contains {_repr(_sorted(stray))}, "
                           "not in the universe")
 
 
 def _repr(value: object) -> str:
-    """repr(value) for an error message about caller data, or a placeholder if
-    repr refuses it, as it refuses an int past the interpreter's digit limit."""
+    """reprlib's bounded repr of value for an error message about caller data, or
+    a placeholder if repr refuses it, as it refuses an int past the digit limit."""
     try:
-        return repr(value)
+        return reprlib.repr(value)
     except ValueError:
         return f"<unprintable {type(value).__name__}>"
 
@@ -168,9 +170,9 @@ def check_names(universe: tuple[str, ...], attributes: tuple[str, ...]) -> dict[
     """Check neither name tuple repeats a name; return name -> row index."""
     index = dict(zip(universe, range(len(universe))))
     if len(index) != len(universe):
-        raise DuplicateElement(f"universe element {_first_repeat(universe)!r} repeats")
+        raise DuplicateElement(f"universe element {_repr(_first_repeat(universe))} repeats")
     if len(set(attributes)) != len(attributes):
-        raise DuplicateAttribute(f"attribute {_first_repeat(attributes)!r} repeats")
+        raise DuplicateAttribute(f"attribute {_repr(_first_repeat(attributes))} repeats")
     return index
 
 
@@ -201,11 +203,11 @@ class SoftSet:
         masks = []
         for name in attributes:
             if name not in values:
-                raise MissingValue(f"attribute {name!r} has no value")
+                raise MissingValue(f"attribute {_repr(name)} has no value")
             subset = values[name]
             if isinstance(subset, (str, Mapping)):
                 kind = "string" if isinstance(subset, str) else "mapping"
-                raise InvalidValue(f"value of {name!r} must be a collection, not a {kind}")
+                raise InvalidValue(f"value of {_repr(name)} must be a collection, not a {kind}")
             row = bytearray(b"0") * len(universe)
             try:
                 for element in subset:
@@ -213,11 +215,11 @@ class SoftSet:
                 mask = int(row[::-1] or b"0", 2)  # an empty universe gives no digits
                 if len(subset) != mask.bit_count():  # the mask counts each element once
                     twice = _first_repeat(subset)
-                    raise DuplicateElement(f"value of {name!r} lists {twice!r} twice")
+                    raise DuplicateElement(f"value of {_repr(name)} lists {_repr(twice)} twice")
             except KeyError:
                 raise _stray(name, element, subset, index) from None
             except TypeError as exc:  # not iterable, an unhashable element, or no length
-                raise InvalidValue(f"value of {name!r} must be a collection of "
+                raise InvalidValue(f"value of {_repr(name)} must be a collection of "
                                    f"universe elements: {exc}") from None
             masks.append(mask)
         self._universe, self._attributes, self._masks = universe, attributes, tuple(masks)
@@ -227,7 +229,7 @@ class SoftSet:
         """Build from checked parts, masks in attribute order.  Only the names
         are checked, because derived ones (pair labels, copies) can collide."""
         if len(set(attributes)) != len(attributes):
-            raise DuplicateAttribute(f"attribute {_first_repeat(attributes)!r} repeats")
+            raise DuplicateAttribute(f"attribute {_repr(_first_repeat(attributes))} repeats")
         s = object.__new__(cls)
         s._universe, s._attributes, s._masks = universe, attributes, tuple(masks)
         return s
@@ -304,15 +306,23 @@ class SoftSet:
         """Inverse of to_matrix for matching universe/attribute orders.
 
         Entries must be the ints 0 and 1; bool and float are refused.  A bad
-        name or name container outranks a bad entry anywhere, which
-        outranks ragged rows, which outrank the width, which outranks the
-        row count.
+        name or name container outranks a matrix or row that is a str, bytes
+        or mapping, which outranks a bad entry anywhere, which outranks
+        ragged rows, which outrank the width, which outranks the row count.
         """
         universe = _name_tuple(universe, "universe")
         attributes = _name_tuple(attributes, "attributes")
         n = len(attributes)
+        split = (str, bytes, Mapping)  # a matrix or row of these splits into characters or keys
+        if isinstance(rows, split):
+            raise InvalidValue(f"matrix must be an iterable of rows, not {type(rows).__name__}")
         try:
-            rows = [tuple(row) for row in rows]
+            rows = list(rows)
+            if not {tuple, list}.issuperset(map(type, rows)):  # one C pass over the row types
+                bad = [type(row).__name__ for row in rows if isinstance(row, split)]
+                if bad:
+                    raise InvalidValue(f"matrix rows must be iterables of entries, not {bad[0]}")
+            rows = list(map(tuple, rows))
         except TypeError as exc:
             raise SoftSetError(f"matrix must be an iterable of row iterables: {exc}") from None
         try:  # C passes: bytes refuse non-integers and ints past 0..255, then types
@@ -326,9 +336,9 @@ class SoftSet:
             entry = next(e for e in cells if type(e) is not int or e not in (0, 1))
             raise SoftSetError(f"matrix entries must be 0 or 1, got {_repr(entry)}")
         width = len(rows[0]) if rows else n
-        for row in rows:
-            if len(row) != width:
-                raise DimensionMismatch(f"ragged matrix: row widths {len(row)} and {width}")
+        if countOf(map(len, rows), width) != len(rows):  # a C pass; then the first other width
+            other = next(len(row) for row in rows if len(row) != width)
+            raise DimensionMismatch(f"ragged matrix: row widths {other} and {width}")
         if width != n:
             raise DimensionMismatch(f"declared {n} columns, rows carry {width}")
         if len(rows) != len(universe):
@@ -370,7 +380,7 @@ def _require_same_universe(s: SoftSet, f: SoftSet) -> None:
     """Binary operations align rows positionally, so order matters too."""
     if s.universe != f.universe:
         raise UniverseMismatch(
-            f"universes differ: {list(s.universe)!r} vs {list(f.universe)!r}"
+            f"universes differ: {_repr(list(s.universe))} vs {_repr(list(f.universe))}"
         )
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 
 from .core import (ApproxKind, SoftSet, SoftSetError, UnknownAttribute, _name_tuple, _repr,
                    _require_same_universe)
@@ -168,8 +167,8 @@ def drop_attribute(s: SoftSet, attribute: str) -> SoftSet:
     """
     gone, masks = s.mask(attribute), s.masks
     if masks.count(gone) < 2:
-        raise SoftSetError(f"dropping {attribute!r} would remove "
-                           f"{sorted(s.names(gone))!r} from the family")
+        raise SoftSetError(f"dropping {_repr(attribute)} would remove "
+                           f"{_repr(sorted(s.names(gone)))} from the family")
     j, names = s.attributes.index(attribute), s.attributes
     return SoftSet._new(s.universe, names[:j] + names[j + 1:], masks[:j] + masks[j + 1:])
 
@@ -179,7 +178,7 @@ def reorder_attributes(s: SoftSet, order: Sequence[str]) -> SoftSet:
     order = _name_tuple(order, "order")
     if len(order) != len(s.attributes) or set(order) != set(s.attributes):
         raise UnknownAttribute(
-            f"{list(order)!r} is not a permutation of {list(s.attributes)!r}"
+            f"{_repr(list(order))} is not a permutation of {_repr(list(s.attributes))}"
         )
     positions = list(map(s.attributes.index, order))
     return SoftSet._new(s.universe, tuple(map(s.attributes.__getitem__, positions)),
@@ -266,11 +265,8 @@ RelationViolation = namedtuple("RelationViolation",
                                "original rewritten original_result rewritten_result")
 
 
-@dataclass(frozen=True)
-class CorrectnessReport:
-    relation_name: str
-    trials: int
-    violations: tuple[RelationViolation, ...]
+class CorrectnessReport(namedtuple("CorrectnessReport", "relation_name trials violations")):
+    __slots__ = ()
 
     @property
     def verdict(self) -> str:
@@ -299,13 +295,6 @@ def check_relation_correctness(
     else:
         _name_tuple((name,), "name")
     base = bool(relation(s, f))
-    violations = []
-    for s2, f2 in pairs:
-        got = bool(relation(s2, f2))
-        if got != base:
-            violations.append(RelationViolation((s, f), (s2, f2), base, got))
-    return CorrectnessReport(
-        relation_name=name,
-        trials=rewrite_count,
-        violations=tuple(violations),
-    )
+    violations = (RelationViolation((s, f), (s2, f2), base, not base)
+                  for s2, f2 in pairs if bool(relation(s2, f2)) is not base)
+    return CorrectnessReport(name, rewrite_count, tuple(violations))

@@ -1,6 +1,7 @@
 """Construction and validation, the matrix round trip, canonical form, the
 kept name sets, documents."""
 
+import functools
 import importlib
 import inspect
 import random
@@ -41,6 +42,7 @@ from softsets import (
     soft_set_to_document,
 )
 from helpers import fam
+from softsets.cli import _loads
 from softsets.core import _require_same_universe
 
 
@@ -165,6 +167,13 @@ class TestSoftSetValidation:
             (SoftSet, (("a",), ("x",), ["x"]), "^values must be a mapping .* not list$"),
             (SoftSet.from_matrix, (None, ("x",), []), "^universe .* not NoneType$"),
             (SoftSet.from_matrix, (("a",), iter(["x"]), [[1]]), "^attributes .* list_iterator$"),
+            # a matrix or row that would split into characters or keys
+            (SoftSet.from_matrix, (("a",), (), [""]), "^matrix rows must be .* not str$"),
+            (SoftSet.from_matrix, ((), (), ""), "^matrix must be .* not str$"),
+            (SoftSet.from_matrix, ((), (), {}), "^matrix must be .* not dict$"),
+            (SoftSet.from_matrix, (("a",), ("x",), b"\1"), "^matrix must be .* not bytes$"),
+            (SoftSet.from_matrix, (("a",), ("x",), [b"\1"]), "^matrix rows .* not bytes$"),
+            (SoftSet.from_matrix, (("a", "b"), ("x",), ([1], {1: 0})), "^matrix rows .* not dict$"),
             (reorder_attributes, (SoftSet((), ("x",), {"x": ()}), "x"), "^order .* not str$"),
             (reorder_attributes, (SoftSet((), ("x",), {"x": ()}), {"x"}), "^order .* not set$"),
             (reorder_attributes, (SoftSet((), ("x",), {"x": ()}), iter(["x"])),
@@ -189,7 +198,9 @@ class TestSoftSetValidation:
         ],
         ids=["universe-none", "universe-set", "universe-str", "attributes-none",
              "attributes-bytes", "values-list", "matrix-universe-none",
-             "matrix-attributes-iterator", "order-str", "order-set", "order-iterator",
+             "matrix-attributes-iterator", "matrix-str-row", "matrix-str", "matrix-mapping",
+             "matrix-bytes", "matrix-bytes-row", "matrix-mapping-row", "order-str", "order-set",
+             "order-iterator",
              "universe-int-member", "attributes-none-member", "universe-range",
              "matrix-universe-bytes-member", "matrix-attributes-tuple-member",
              "order-int-member", "new-name-int", "suffix-int", "suffix-none"],
@@ -588,6 +599,36 @@ def test_an_unprintable_value_gets_the_domain_error(call):
     assert "\n" not in str(long.value)
 
 
+# caller data that an unbounded quote would copy whole into a message: a 100 000-character
+# name, a list nested 5000 deep (3.13 parses such a --universe) and 1000 names
+_WIDE = "w" * 100_000
+_DEEP = functools.reduce(lambda inner, _: [inner], range(5000), [])
+_THOUSAND = tuple(f"e{i}" for i in range(1000))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SoftSet(("a",), ("x",), {"x": {_WIDE}}),
+    lambda: SoftSet((_DEEP,), (), {}),
+    lambda: _require_same_universe(SoftSet(_THOUSAND, (), {}), SoftSet(_THOUSAND[::-1], (), {})),
+    lambda: SoftSet((_WIDE, _WIDE), (), {}),
+    lambda: SoftSet((), (_WIDE, _WIDE), {}),
+    lambda: SoftSet((), (_WIDE,), {}),
+    lambda: SoftSet((), (_WIDE,), {_WIDE: "a"}),
+    lambda: SoftSet((), (_WIDE,), {_WIDE: None}),
+    lambda: SoftSet((_WIDE,), ("x",), {"x": [_WIDE, _WIDE]}),
+    lambda: drop_attribute(SoftSet(_THOUSAND, (_WIDE,), {_WIDE: _THOUSAND}), _WIDE),
+    lambda: reorder_attributes(SoftSet((), _THOUSAND, dict.fromkeys(_THOUSAND, ())), [_WIDE]),
+    lambda: _loads(f'{{"{_WIDE}": 1, "{_WIDE}": 2}}', "stdin", "stdin is not valid JSON"),
+], ids=["stray", "deep-name", "universe-mismatch", "repeated-element", "repeated-attribute",
+        "missing-value", "string-value", "no-collection", "listed-twice", "drop", "reorder",
+        "repeated-key"])
+def test_an_error_message_is_one_bounded_line(call):
+    with pytest.raises(SoftSetError) as caught:
+        call()
+    message = str(caught.value)
+    assert "\n" not in message and len(message) <= 500
+
+
 # arbitrary values for the API fuzz below; _HUGE, which hypothesis cannot repr inside
 # st.just, is _LONG, and each position draws it on its own too, as the likeliest escape
 _HUGE = st.builds(pow, st.just(10), st.just(5000))
@@ -649,8 +690,8 @@ def test_the_api_answers_with_a_result_or_a_domain_error(call_args):
     call, args = call_args
     try:
         call(*args.values())
-    except SoftSetError:
-        pass
+    except SoftSetError as exc:
+        assert "\n" not in str(exc) and len(str(exc)) <= 500
     except TypeError:
         if all(type(args[param]) is int for param in _COUNTS & args.keys()):
             raise
